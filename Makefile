@@ -52,9 +52,12 @@ check-smoke:
 # Coverage-guided campaign soak (dr_check --campaign over every protocol,
 # bounded budget): fails on any violation and leaves the deterministic
 # campaign statistics in CHECK_CAMPAIGN.json next to the BENCH_*.json files.
+# The CI gate `dune build @check-soak` runs the same campaign and fails when
+# its statistics differ from the committed CHECK_CAMPAIGN.json.
 soak:
-	dune build @check-soak
+	dune build bin/check_campaign.json
 	cp _build/default/bin/check_campaign.json CHECK_CAMPAIGN.json
+	dune build @check-soak
 
 # Socket-runtime smoke: run registry protocols as k real OS processes over
 # loopback (dr_download --transport net) and require the download to verify.

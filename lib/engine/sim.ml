@@ -381,40 +381,31 @@ module Make (M : MESSAGE) = struct
       in
       loop ()
     | Some choose ->
-      (* Under an arbiter, events live in a plain list and the arbiter picks
-         which fires next; times are purely decorative (monotone counter). *)
-      let pending : event list ref = ref [] in
-      let next_event () =
-        (* Drain freshly scheduled events from the heap into the pool. *)
-        let rec drain () =
-          match Heap.pop heap with
-          | Some (_, ev) ->
-            pending := !pending @ [ ev ];
-            drain ()
-          | None -> ()
-        in
-        drain ();
-        let count = List.length !pending in
-        if count = 0 then None
-        else begin
-          let idx = choose count in
-          let idx = if idx < 0 || idx >= count then 0 else idx in
-          let ev = List.nth !pending idx in
-          pending := List.filteri (fun i _ -> i <> idx) !pending;
-          Some ev
-        end
-      in
+      (* Under an arbiter, events wait in an arrival-ordered pool and the
+         arbiter picks which fires next; times are purely decorative
+         (monotone counter). Fresh events are drained from the heap in
+         (time, seq) order, so the pool's index semantics are exactly those
+         of the list it replaced and recorded scripts replay unchanged. *)
+      let pending = Order_pool.create ~dummy:(Ev_crash (-1)) in
       let rec loop () =
         if !events_done >= cfg.max_events then status := Event_limit_reached
-        else
-          match next_event () with
-          | None -> deadlock_check ()
-          | Some ev ->
+        else begin
+          while not (Heap.is_empty heap) do
+            Order_pool.push pending (Heap.pop_min heap)
+          done;
+          let count = Order_pool.length pending in
+          if count = 0 then deadlock_check ()
+          else begin
+            let idx = choose count in
+            let idx = if idx < 0 || idx >= count then 0 else idx in
+            let ev = Order_pool.take pending idx in
             clock.(0) <- clock.(0) +. 1.;
             incr events_done;
             if obs_on then notify ev;
             handle ev;
             loop ()
+          end
+        end
       in
       loop ());
     {

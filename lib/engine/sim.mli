@@ -54,7 +54,17 @@ type arbiter = int -> int
     message delays, start times and source replies. Sound for protocols that
     never read the clock (all honest protocol logic here). Timed crashes
     ([At_time]) are not meaningful under an arbiter; use [After_sends] /
-    [After_queries]. See {!Explore}. *)
+    [After_queries]. See {!Explore}.
+
+    The index names an event in the pending pool, whose order recorded
+    choice scripts depend on:
+    - newly scheduled events join the pool in (time, scheduling order), as
+      the heap scheduler would have fired them;
+    - index [i] is the [i]-th pending event in the order it joined;
+    - firing an event keeps the others in their relative order;
+    - a result outside [0, count) picks index 0.
+
+    Each pick costs O(log pending) (see {!Order_pool}). *)
 
 type obs_kind = Obs_start | Obs_deliver | Obs_crash | Obs_query_reply | Obs_wake
 (** The category of a fired event, as seen by an observer. *)

@@ -9,6 +9,7 @@ module Fault = Dr_adversary.Fault
 module Latency = Dr_adversary.Latency
 module Crash_plan = Dr_adversary.Crash_plan
 module Prng = Dr_engine.Prng
+module Order_pool = Dr_engine.Order_pool
 
 let bits_gen =
   QCheck.Gen.(map (fun l -> List.map (fun b -> if b then '1' else '0') l |> List.to_seq |> String.of_seq)
@@ -65,6 +66,64 @@ let prop_bits_flip_involution =
       let a = Bitarray.of_string s in
       let i = i mod String.length s in
       Bitarray.equal (Bitarray.flip (Bitarray.flip a i) i) a)
+
+(* ------------------------------------------------------------------ *)
+(* Order_pool                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The arbiter's event pool against the list semantics it replaced: append
+   to the end, take the i-th element, keep the others in order, with the
+   simulator's clamp of an out-of-range choice to 0. Sequences run to a few
+   hundred pushes (so the slot array compacts and grows many times), mix in
+   negative and out-of-range indices, and drain the pool completely before
+   pushing again. *)
+type pool_op = Push | Take of int | Drain
+
+let pool_ops_arb =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (30, return Push);
+          (2, map (fun i -> Take i) (int_range (-5) (-1)));
+          (12, map (fun i -> Take i) (int_range 0 40));
+          (6, map (fun i -> Take i) (int_range 0 400));
+          (1, return Drain);
+        ])
+  in
+  let print = function Push -> "push" | Take i -> Printf.sprintf "take %d" i | Drain -> "drain" in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    QCheck.Gen.(list_size (int_range 0 700) op)
+
+let prop_order_pool_matches_list =
+  QCheck.Test.make ~name:"order-pool: same picks as the list pool" ~count:300 pool_ops_arb
+    (fun ops ->
+      let pool = Order_pool.create ~dummy:(-1) in
+      let model = ref [] and next = ref 0 and ok = ref true in
+      let take i =
+        let count = List.length !model in
+        let i = if i < 0 || i >= count then 0 else i in
+        let expected = List.nth !model i in
+        model := List.filteri (fun j _ -> j <> i) !model;
+        if Order_pool.take pool i <> expected then ok := false
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push ->
+            model := !model @ [ !next ];
+            Order_pool.push pool !next;
+            incr next
+          | Take i -> if !model <> [] then take i
+          | Drain ->
+            while !model <> [] do
+              take (List.length !model / 2)
+            done);
+          if Order_pool.length pool <> List.length !model then ok := false)
+        ops;
+      let rejects i = try ignore (Order_pool.take pool i); false with Invalid_argument _ -> true in
+      !ok && rejects (-1) && rejects (Order_pool.length pool))
 
 (* ------------------------------------------------------------------ *)
 (* Segment                                                             *)
@@ -458,6 +517,7 @@ let suite =
       prop_bits_first_diff;
       prop_bits_append_sub;
       prop_bits_flip_involution;
+      prop_order_pool_matches_list;
       prop_segment_tiles;
       prop_segment_of_bit;
       prop_segment_children_concat;
