@@ -1,7 +1,8 @@
 (* The simulator transport: a thin renaming of Dr_engine.Sim.Make to the
-   Transport.S vocabulary. Every function is a direct alias, so protocol
-   cores instantiated over it execute the exact same effect sequence as the
-   pre-transport code — the golden determinism tests pin this bit-exactly. *)
+   Transport.S vocabulary. Every function is a direct alias, so a protocol
+   core instantiated over it makes exactly the simulator calls a protocol
+   written against Sim.Make would, in the same order — the golden
+   determinism tests pin the resulting schedules bit-exactly. *)
 
 module Make (M : Transport.MSG) = struct
   module S = Dr_engine.Sim.Make (M)

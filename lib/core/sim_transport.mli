@@ -4,7 +4,8 @@
     exposes its process-side API under the transport names ([clock] is the
     simulator's [now]). [run_sim] drives an execution: the process passed to
     it must perform its transport calls through {e this} instance (each
-    [Make] application owns its own effect constructors). *)
+    [Make] application owns its own effects and peer context, so a call
+    into another instance raises [Invalid_argument]). *)
 
 module Make (M : Transport.MSG) : sig
   include Transport.S with type msg = M.t

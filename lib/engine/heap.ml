@@ -104,26 +104,15 @@ let[@inline] min_time h =
 (* Remove the root by sifting the last element down from the top. Freed
    slots keep stale value references (bounded by capacity, reclaimed on the
    next push into them) — a deliberate trade for an allocation-free pop. *)
-let[@inline] remove_min h =
+let pop_min h =
+  if h.len = 0 then invalid_arg "Heap.pop_min: empty";
+  let v = Array.unsafe_get h.values 0 in
   let last = h.len - 1 in
   h.len <- last;
   if last > 0 then
     sift_down h ~time:(Array.unsafe_get h.times last) ~seq:(Array.unsafe_get h.seqs last)
-      (Array.unsafe_get h.values last)
-
-let pop_min h =
-  if h.len = 0 then invalid_arg "Heap.pop_min: empty";
-  let v = Array.unsafe_get h.values 0 in
-  remove_min h;
+      (Array.unsafe_get h.values last);
   v
-
-let pop h =
-  if h.len = 0 then None
-  else begin
-    let t = min_time h and v = Array.unsafe_get h.values 0 in
-    remove_min h;
-    Some (t, v)
-  end
 
 let peek_time h = if h.len = 0 then None else Some (min_time h)
 let clear h = h.len <- 0

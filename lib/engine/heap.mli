@@ -16,11 +16,6 @@ val create : unit -> 'a t
 val push : 'a t -> time:float -> 'a -> unit
 (** Schedule a value at [time]. O(log n), allocation-free at steady state. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event, or [None] when empty. O(log n).
-    Allocates the option/tuple — hot paths should use {!min_time} +
-    {!pop_min} instead. *)
-
 val min_time : 'a t -> float
 (** Time of the earliest event. Raises [Invalid_argument] when empty. *)
 

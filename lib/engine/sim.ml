@@ -57,35 +57,24 @@ type 'r outcome = {
   events : int;
 }
 
+(* The peer whose fiber runs on this domain, as [Make]'s context record;
+   [No_peer] outside every run. Each functor application adds its own
+   constructor, so a call into one instance from a run of another finds no
+   context. zone: per-domain (one slot per domain, which is why a
+   [Par.map] of simulations needs no locking). *)
+type running = ..
+type running += No_peer
+
+let running : running Domain.DLS.key = Domain.DLS.new_key (fun () -> No_peer)
+
 module Make (M : MESSAGE) = struct
+  (* Only the calls that suspend the fiber are effects; the handler stores
+     the continuation and the event that resumes it is already scheduled
+     (or, for [receive], is the next delivery). *)
   type _ Effect.t +=
-    | E_send : int * M.t -> unit Effect.t
     | E_receive : (int * M.t) Effect.t
-    | E_query : int -> bool Effect.t
-    | E_now : float Effect.t
-    | E_me : int Effect.t
-    | E_k : int Effect.t
-    | E_rng : Prng.t Effect.t
-    | E_sleep : float -> unit Effect.t
-    | E_note : string -> unit Effect.t
-
-  let me () = Effect.perform E_me
-  let peer_count () = Effect.perform E_k
-  let now () = Effect.perform E_now
-  let send dst msg = Effect.perform (E_send (dst, msg))
-
-  let broadcast msg =
-    let self = me () and k = peer_count () in
-    for dst = 0 to k - 1 do
-      if dst <> self then send dst msg
-    done
-
-  let receive () = Effect.perform E_receive
-  let query i = Effect.perform (E_query i)
-  let rng () = Effect.perform E_rng
-  let sleep d = Effect.perform (E_sleep d)
-  let note text = Effect.perform (E_note text)
-  let die () = raise Halted
+    | E_query_reply : bool Effect.t
+    | E_wake : unit Effect.t
 
   type wait =
     | Idle
@@ -93,8 +82,32 @@ module Make (M : MESSAGE) = struct
     | On_query_reply of (bool, unit) Effect.Deep.continuation
     | On_wake of (unit, unit) Effect.Deep.continuation
 
+  type event =
+    | Ev_start of int
+    | Ev_deliver of { dst : int; src : int; msg : M.t }
+    | Ev_crash of int
+    | Ev_query_reply of { peer : int; value : bool }
+    | Ev_wake of int
+
+  (* State of one run shared by its peers. *)
+  type world = {
+    cfg : config;
+    heap : event Heap.t;
+    metrics : Metrics.t;
+    clock : float array;
+        (** one slot, so the clock stays flat (a [float ref] would box on
+            every store) *)
+    crash_spec : crash_spec array;  (** the plan of each peer, resolved once *)
+    serialized : bool;  (** [cfg.link_rate] is finite *)
+    link_free : (int * int, float) Hashtbl.t;
+        (** per ordered link, when it finishes transmitting *)
+    trace_on : bool;
+  }
+
+  (* The context record of one peer: what a direct call needs. *)
   type pstate = {
     id : int;
+    world : world;
     mutable alive : bool;
     mutable finished : bool;
     mailbox : (int * M.t) Ring.t;
@@ -104,19 +117,126 @@ module Make (M : MESSAGE) = struct
     mutable queries : int;
   }
 
-  type event =
-    | Ev_start of int
-    | Ev_deliver of { dst : int; src : int; msg : M.t }
-    | Ev_crash of int
-    | Ev_query_reply of { peer : int; value : bool }
-    | Ev_wake of int
+  type running += Peer of pstate
 
-  let run cfg proc =
+  let current what =
+    match Domain.DLS.get running with
+    | Peer p -> p
+    | _ -> invalid_arg (what ^ ": called outside Sim.run")
+
+  (* Tracing must cost nothing when off: every call site is guarded by
+     [trace_on] so the closure passed here is never even allocated. *)
+  let tr w f = match w.cfg.trace with None -> () | Some t -> Trace.record t (f ())
+
+  (* A crash planned at this send or query: the peer dies at the call, which
+     unwinds its fiber from the call site. *)
+  let crash_here p =
+    p.alive <- false;
+    let w = p.world in
+    if w.trace_on then tr w (fun () -> Trace.Crashed { time = w.clock.(0); peer = p.id });
+    raise Crashed
+
+  let me () = (current "Sim.me").id
+  let peer_count () = (current "Sim.peer_count").world.cfg.k
+  let now () = (current "Sim.now").world.clock.(0)
+  let rng () = (current "Sim.rng").prng
+
+  let note text =
+    let p = current "Sim.note" in
+    let w = p.world in
+    if w.trace_on then tr w (fun () -> Trace.Note { time = w.clock.(0); peer = p.id; text })
+
+  let send_from p dst msg =
+    let w = p.world in
+    if dst < 0 || dst >= w.cfg.k then invalid_arg "Sim.send: bad destination";
+    (* [After_sends j] lets exactly [j] sends complete; the peer dies
+       attempting the next one, so that send is lost. *)
+    (match Array.unsafe_get w.crash_spec p.id with
+    | After_sends j when p.sends >= j -> crash_here p
+    | Never | At_time _ | After_sends _ | After_queries _ -> ());
+    let time = w.clock.(0) in
+    let size_bits = M.size_bits msg in
+    let delay = w.cfg.latency ~src:p.id ~dst ~time ~size_bits in
+    if not (delay >= 0.) then invalid_arg "Sim.run: negative latency";
+    Metrics.on_send w.metrics p.id ~size_bits;
+    if w.trace_on then
+      tr w (fun () -> Trace.Sent { time; src = p.id; dst; size_bits; tag = M.tag msg });
+    let arrival =
+      if not w.serialized then time +. delay
+      else begin
+        (* Store-and-forward link serialization: each ordered link
+           transmits at [link_rate] bits per time unit, one message at a
+           time, in FIFO order. *)
+        let free = Option.value (Hashtbl.find_opt w.link_free (p.id, dst)) ~default:0. in
+        let departure = Float.max time free in
+        let transmission = float_of_int size_bits /. w.cfg.link_rate in
+        Hashtbl.replace w.link_free (p.id, dst) (departure +. transmission);
+        departure +. transmission +. delay
+      end
+    in
+    Heap.push w.heap ~time:arrival (Ev_deliver { dst; src = p.id; msg });
+    p.sends <- p.sends + 1
+
+  let send dst msg = send_from (current "Sim.send") dst msg
+
+  let broadcast msg =
+    let p = current "Sim.broadcast" in
+    for dst = 0 to p.world.cfg.k - 1 do
+      if dst <> p.id then send_from p dst msg
+    done
+
+  let receive () =
+    let p = current "Sim.receive" in
+    if Ring.is_empty p.mailbox then Effect.perform E_receive else Ring.pop p.mailbox
+
+  let query i =
+    let p = current "Sim.query" in
+    let w = p.world in
+    Metrics.on_query w.metrics p.id;
+    p.queries <- p.queries + 1;
+    let value = w.cfg.query_bit ~peer:p.id i in
+    if w.trace_on then
+      tr w (fun () -> Trace.Queried { time = w.clock.(0); peer = p.id; index = i; value });
+    (match Array.unsafe_get w.crash_spec p.id with
+    | After_queries j when p.queries >= j -> crash_here p
+    | Never | At_time _ | After_sends _ | After_queries _ -> ());
+    let delay = w.cfg.query_latency ~peer:p.id ~time:w.clock.(0) in
+    if delay <= 0. then value
+    else begin
+      Heap.push w.heap ~time:(w.clock.(0) +. delay) (Ev_query_reply { peer = p.id; value });
+      Effect.perform E_query_reply
+    end
+
+  let sleep d =
+    let p = current "Sim.sleep" in
+    let w = p.world in
+    if not (d >= 0.) then invalid_arg "Sim.sleep: negative";
+    Heap.push w.heap ~time:(w.clock.(0) +. d) (Ev_wake p.id);
+    Effect.perform E_wake
+
+  let die () = raise Halted
+
+  let run_world cfg proc =
     let master = Prng.create cfg.seed in
+    let serialized = cfg.link_rate <> infinity in
+    let world =
+      {
+        cfg;
+        heap = Heap.create ();
+        metrics = Metrics.create cfg.k;
+        clock = [| 0. |];
+        crash_spec = Array.init cfg.k cfg.crash;
+        serialized;
+        link_free = Hashtbl.create (if serialized then 64 else 1);
+        trace_on = cfg.trace <> None;
+      }
+    in
+    let { heap; metrics; clock; crash_spec; trace_on; _ } = world in
     let peers =
       Array.init cfg.k (fun id ->
           {
             id;
+            world;
             alive = true;
             finished = false;
             mailbox = Ring.create ();
@@ -126,149 +246,34 @@ module Make (M : MESSAGE) = struct
             queries = 0;
           })
     in
-    let heap = Heap.create () in
-    (* Store-and-forward link serialization: each ordered link transmits at
-       [link_rate] bits per time unit, one message at a time, in FIFO order.
-       [infinity] (the default) models unbounded bandwidth. *)
-    let serialized = cfg.link_rate <> infinity in
-    let link_free : (int * int, float) Hashtbl.t =
-      if serialized then Hashtbl.create 64 else Hashtbl.create 1
-    in
-    let metrics = Metrics.create cfg.k in
+    let slots = Array.map (fun p -> Peer p) peers in
+    (* Every resume of a fiber installs its peer's context first. *)
+    let install p = Domain.DLS.set running (Array.unsafe_get slots p.id) in
     let outputs = Array.make cfg.k None in
-    (* A one-slot float array keeps the clock flat (a [float ref] would box
-       on every store). *)
-    let clock = [| 0. |] in
     let events_done = ref 0 in
-    (* Crash plans are fixed per peer; resolve the closure once instead of
-       on every send/query. *)
-    let crash_spec = Array.init cfg.k cfg.crash in
-    (* Tracing must cost nothing when off: every call site is guarded by
-       [trace_on] so the closure passed to [tr] is never even allocated. *)
-    let trace_on = cfg.trace <> None in
-    let tr f = match cfg.trace with None -> () | Some t -> Trace.record t (f ()) in
     (* Killing a peer: mark dead and unwind its blocked fiber if any. *)
     let kill p =
+      let unwind k =
+        p.wait <- Idle;
+        install p;
+        Effect.Deep.discontinue k Crashed
+      in
       if p.alive then begin
         p.alive <- false;
-        if trace_on then tr (fun () -> Trace.Crashed { time = clock.(0); peer = p.id });
+        if trace_on then tr world (fun () -> Trace.Crashed { time = clock.(0); peer = p.id });
         match p.wait with
         | Idle -> ()
-        | On_receive k ->
-          p.wait <- Idle;
-          Effect.Deep.discontinue k Crashed
-        | On_query_reply k ->
-          p.wait <- Idle;
-          Effect.Deep.discontinue k Crashed
-        | On_wake k ->
-          p.wait <- Idle;
-          Effect.Deep.discontinue k Crashed
+        | On_receive k -> unwind k
+        | On_query_reply k -> unwind k
+        | On_wake k -> unwind k
       end
     in
     let handler_for p =
       let open Effect.Deep in
       let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option = function
-        | E_me -> Some (fun k -> continue k p.id)
-        | E_k -> Some (fun k -> continue k cfg.k)
-        | E_now -> Some (fun k -> continue k clock.(0))
-        | E_rng -> Some (fun k -> continue k p.prng)
-        | E_note text ->
-          Some
-            (fun k ->
-              if trace_on then
-                tr (fun () -> Trace.Note { time = clock.(0); peer = p.id; text });
-              continue k ())
-        | E_send (dst, msg) ->
-          Some
-            (fun k ->
-              if dst < 0 || dst >= cfg.k then
-                discontinue k (Invalid_argument "Sim.send: bad destination")
-              else begin
-                (* [After_sends j] lets exactly [j] sends complete; the peer
-                   dies attempting the next one, so that send is lost. *)
-                let crash_now =
-                  match Array.unsafe_get crash_spec p.id with
-                  | After_sends j -> p.sends >= j
-                  | Never | At_time _ | After_queries _ -> false
-                in
-                if crash_now then begin
-                  p.alive <- false;
-                  if trace_on then
-                    tr (fun () -> Trace.Crashed { time = clock.(0); peer = p.id });
-                  discontinue k Crashed
-                end
-                else begin
-                  let size_bits = M.size_bits msg in
-                  let delay = cfg.latency ~src:p.id ~dst ~time:clock.(0) ~size_bits in
-                  if not (delay >= 0.) then
-                    discontinue k (Invalid_argument "Sim.run: negative latency")
-                  else begin
-                    Metrics.on_send metrics p.id ~size_bits;
-                    if trace_on then
-                      tr (fun () ->
-                          Trace.Sent
-                            { time = clock.(0); src = p.id; dst; size_bits; tag = M.tag msg });
-                    let arrival =
-                      if not serialized then clock.(0) +. delay
-                      else begin
-                        let free =
-                          match Hashtbl.find_opt link_free (p.id, dst) with
-                          | Some f -> f
-                          | None -> 0.
-                        in
-                        let departure = Float.max clock.(0) free in
-                        let transmission = float_of_int size_bits /. cfg.link_rate in
-                        Hashtbl.replace link_free (p.id, dst) (departure +. transmission);
-                        departure +. transmission +. delay
-                      end
-                    in
-                    Heap.push heap ~time:arrival (Ev_deliver { dst; src = p.id; msg });
-                    p.sends <- p.sends + 1;
-                    continue k ()
-                  end
-                end
-              end)
-        | E_receive ->
-          Some
-            (fun k ->
-              if not (Ring.is_empty p.mailbox) then continue k (Ring.pop p.mailbox)
-              else p.wait <- On_receive k)
-        | E_query i ->
-          Some
-            (fun k ->
-              Metrics.on_query metrics p.id;
-              p.queries <- p.queries + 1;
-              let value = cfg.query_bit ~peer:p.id i in
-              if trace_on then
-                tr (fun () -> Trace.Queried { time = clock.(0); peer = p.id; index = i; value });
-              let crash_now =
-                match Array.unsafe_get crash_spec p.id with
-                | After_queries j -> p.queries >= j
-                | Never | At_time _ | After_sends _ -> false
-              in
-              if crash_now then begin
-                p.alive <- false;
-                if trace_on then
-                  tr (fun () -> Trace.Crashed { time = clock.(0); peer = p.id });
-                discontinue k Crashed
-              end
-              else begin
-                let delay = cfg.query_latency ~peer:p.id ~time:clock.(0) in
-                if delay <= 0. then continue k value
-                else begin
-                  p.wait <- On_query_reply k;
-                  Heap.push heap ~time:(clock.(0) +. delay)
-                    (Ev_query_reply { peer = p.id; value })
-                end
-              end)
-        | E_sleep d ->
-          Some
-            (fun k ->
-              if not (d >= 0.) then discontinue k (Invalid_argument "Sim.sleep: negative")
-              else begin
-                p.wait <- On_wake k;
-                Heap.push heap ~time:(clock.(0) +. d) (Ev_wake p.id)
-              end)
+        | E_receive -> Some (fun k -> p.wait <- On_receive k)
+        | E_query_reply -> Some (fun k -> p.wait <- On_query_reply k)
+        | E_wake -> Some (fun k -> p.wait <- On_wake k)
         | _ -> None
       in
       {
@@ -281,12 +286,13 @@ module Make (M : MESSAGE) = struct
       }
     in
     let start_fiber p =
+      install p;
       Effect.Deep.match_with
         (fun () ->
           let out = proc p.id in
           outputs.(p.id) <- Some (clock.(0), out);
           p.finished <- true;
-          if trace_on then tr (fun () -> Trace.Terminated { time = clock.(0); peer = p.id }))
+          if trace_on then tr world (fun () -> Trace.Terminated { time = clock.(0); peer = p.id }))
         () (handler_for p)
     in
     (* Seed the schedule: starts and timed crashes. *)
@@ -325,11 +331,12 @@ module Make (M : MESSAGE) = struct
         if p.alive && not p.finished then begin
           Metrics.on_receive metrics dst;
           if trace_on then
-            tr (fun () -> Trace.Delivered { time = clock.(0); src; dst; tag = M.tag msg });
+            tr world (fun () -> Trace.Delivered { time = clock.(0); src; dst; tag = M.tag msg });
           match p.wait with
           | On_receive k ->
             p.wait <- Idle;
             Metrics.on_wakeup metrics dst;
+            install p;
             Effect.Deep.continue k (src, msg)
           | Idle | On_query_reply _ | On_wake _ -> Ring.push p.mailbox (src, msg)
         end
@@ -340,6 +347,7 @@ module Make (M : MESSAGE) = struct
           match p.wait with
           | On_query_reply k ->
             p.wait <- Idle;
+            install p;
             Effect.Deep.continue k value
           | Idle | On_receive _ | On_wake _ -> ()
         end
@@ -349,6 +357,7 @@ module Make (M : MESSAGE) = struct
           match p.wait with
           | On_wake k ->
             p.wait <- Idle;
+            install p;
             Effect.Deep.continue k ()
           | Idle | On_receive _ | On_query_reply _ -> ()
         end
@@ -359,7 +368,7 @@ module Make (M : MESSAGE) = struct
         |> List.filter_map (fun p -> if p.alive && not p.finished then Some p.id else None)
       in
       if blocked <> [] then begin
-        if trace_on then tr (fun () -> Trace.Deadlocked { time = clock.(0); blocked });
+        if trace_on then tr world (fun () -> Trace.Deadlocked { time = clock.(0); blocked });
         status := Deadlock blocked
       end
     in
@@ -415,4 +424,9 @@ module Make (M : MESSAGE) = struct
       end_time = clock.(0);
       events = !events_done;
     }
+
+  (* A run inside a peer's fiber hands the slot back to that peer. *)
+  let run cfg proc =
+    let saved = Domain.DLS.get running in
+    Fun.protect ~finally:(fun () -> Domain.DLS.set running saved) (fun () -> run_world cfg proc)
 end

@@ -5,9 +5,13 @@
     point-to-point messages with adversarially chosen finite delays, an
     external source answering bit queries, crash injection, and no global
     clock visible to the peers. Peers are written in direct style as ordinary
-    OCaml functions; blocking operations ([receive], [query], [sleep]) are
-    OCaml 5 effects interpreted by the event loop, so a peer reads exactly
-    like the paper's pseudo-code ("wait until it receives …").
+    OCaml functions, so a peer reads exactly like the paper's pseudo-code
+    ("wait until it receives …"). Each peer runs as a fiber. Only a call that
+    suspends it performs an OCaml 5 effect: a [receive] on an empty mailbox,
+    a [sleep], and a [query] under a positive [query_latency]. Every other
+    call ([send], [broadcast], an instant [query], [me], [now], …) is a
+    direct call on the running peer's context record, which the event loop
+    installs in a domain-local slot before it resumes a fiber.
 
     Executions are fully deterministic given the configuration and seed:
     the event queue breaks time ties by schedule order and all randomness
@@ -124,7 +128,8 @@ type 'r outcome = {
 module Make (M : MESSAGE) : sig
   (** {2 Process-side API}
 
-      These may only be called from inside a process executed by {!run}. *)
+      These may only be called from inside a process executed by {!run};
+      elsewhere they raise [Invalid_argument] ({!die} excepted). *)
 
   val me : unit -> int
   val peer_count : unit -> int
@@ -164,5 +169,7 @@ module Make (M : MESSAGE) : sig
   (** [run cfg proc] executes [proc i] as peer [i] for all [i < cfg.k] and
       drives events to quiescence. Raises [Invalid_argument] on negative
       latencies. Exceptions escaping a process (other than crash/halt
-      control flow) propagate to the caller. *)
+      control flow) propagate to the caller. A process may itself call
+      [run]; when the inner run returns, the process's own calls are
+      charged to it again. *)
 end

@@ -1,6 +1,9 @@
+(* Bit [i] lives in byte [i lsr 3] at weight [1 lsl (i land 7)]. Every
+   function that writes whole bytes keeps the padding bits of the last byte
+   at zero, which [equal], [compare] and hashing rely on. *)
 type t = { len : int; data : Bytes.t }
 
-let bytes_for len = (len + 7) / 8
+let bytes_for len = (len + 7) lsr 3
 
 let create len =
   if len < 0 then invalid_arg "Bitarray.create";
@@ -12,14 +15,15 @@ let check t i = if i < 0 || i >= t.len then invalid_arg "Bitarray: index out of 
 
 let get t i =
   check t i;
-  Char.code (Bytes.get t.data (i lsr 3)) land (1 lsl (i land 7)) <> 0
+  Char.code (Bytes.unsafe_get t.data (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
 let set t i b =
   check t i;
-  let byte = Char.code (Bytes.get t.data (i lsr 3)) in
+  let j = i lsr 3 in
+  let byte = Char.code (Bytes.unsafe_get t.data j) in
   let mask = 1 lsl (i land 7) in
   let byte = if b then byte lor mask else byte land lnot mask in
-  Bytes.set t.data (i lsr 3) (Char.chr byte)
+  Bytes.unsafe_set t.data j (Char.unsafe_chr byte)
 
 let copy t = { len = t.len; data = Bytes.copy t.data }
 let equal a b = a.len = b.len && Bytes.equal a.data b.data
@@ -28,19 +32,21 @@ let compare a b =
   let c = Int.compare a.len b.len in
   if c <> 0 then c else Bytes.compare a.data b.data
 
-let random prng len =
+(* Packs the results of [f] eight to a byte store; [f] still sees every
+   index once, in ascending order. *)
+let init len f =
   let t = create len in
-  for i = 0 to len - 1 do
-    set t i (Dr_engine.Prng.bool prng)
+  for b = 0 to Bytes.length t.data - 1 do
+    let base = b lsl 3 in
+    let acc = ref 0 in
+    for q = 0 to Int.min 8 (len - base) - 1 do
+      if f (base + q) then acc := !acc lor (1 lsl q)
+    done;
+    Bytes.unsafe_set t.data b (Char.unsafe_chr !acc)
   done;
   t
 
-let init len f =
-  let t = create len in
-  for i = 0 to len - 1 do
-    if f i then set t i true
-  done;
-  t
+let random prng len = init len (fun _ -> Dr_engine.Prng.bool prng)
 
 let of_string s =
   init (String.length s) (fun i ->
@@ -51,15 +57,42 @@ let of_string s =
 
 let to_string t = String.init t.len (fun i -> if get t i then '1' else '0')
 
+(* Byte [j] of [data], or 0 outside it: the window below reads one byte
+   before and one after the bytes it copies. *)
+let byte_at data j =
+  if j >= 0 && j < Bytes.length data then Char.code (Bytes.unsafe_get data j) else 0
+
+(* Copy bits [src_pos, src_pos + len) of [src] over bits [dst_pos, dst_pos + len)
+   of [dst], one destination byte at a time: an 8-bit window of [src] aligned
+   to the destination byte, merged under the mask of the bits in range. Bits
+   of [dst] outside the range, its padding included, are left as they were. *)
+let blit_bits ~src ~src_pos ~dst ~dst_pos ~len =
+  if len > 0 then begin
+    let first = dst_pos lsr 3 and last = (dst_pos + len - 1) lsr 3 in
+    (* the bit of [src] that lands on bit 0 of byte [first]; may be negative *)
+    let off = src_pos - (dst_pos land 7) in
+    let j0 = off asr 3 and r = off land 7 in
+    let stop = dst_pos + len - (last lsl 3) in
+    for b = first to last do
+      let j = j0 + b - first in
+      let w = (byte_at src.data j lsr r) lor (byte_at src.data (j + 1) lsl (8 - r)) in
+      let lo = if b = first then dst_pos land 7 else 0 in
+      let hi = if b = last then stop else 8 in
+      let mask = ((1 lsl (hi - lo)) - 1) lsl lo in
+      let old = Char.code (Bytes.unsafe_get dst.data b) in
+      Bytes.unsafe_set dst.data b (Char.unsafe_chr ((old land lnot mask) lor (w land mask)))
+    done
+  end
+
 let sub t ~pos ~len =
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Bitarray.sub";
-  init len (fun i -> get t (pos + i))
+  let r = create len in
+  blit_bits ~src:t ~src_pos:pos ~dst:r ~dst_pos:0 ~len;
+  r
 
 let blit ~src ~dst ~pos =
   if pos < 0 || pos + src.len > dst.len then invalid_arg "Bitarray.blit";
-  for i = 0 to src.len - 1 do
-    set dst (pos + i) (get src i)
-  done
+  blit_bits ~src ~src_pos:0 ~dst ~dst_pos:pos ~len:src.len
 
 let append a b =
   let t = create (a.len + b.len) in
@@ -69,17 +102,13 @@ let append a b =
 
 let first_diff a b =
   if a.len <> b.len then invalid_arg "Bitarray.first_diff: length mismatch";
+  let rec lowest_bit x q = if x land 1 = 1 then q else lowest_bit (x lsr 1) (q + 1) in
   let rec byte_scan i =
     if i >= Bytes.length a.data then None
-    else if Bytes.get a.data i <> Bytes.get b.data i then begin
-      let rec bit_scan j =
-        if j >= a.len then None
-        else if not (Bool.equal (get a j) (get b j)) then Some j
-        else bit_scan (j + 1)
-      in
-      bit_scan (i * 8)
-    end
-    else byte_scan (i + 1)
+    else
+      let x = Char.code (Bytes.unsafe_get a.data i) lxor Char.code (Bytes.unsafe_get b.data i) in
+      (* padding is zero on both sides, so a set bit of [x] is a real index *)
+      if x <> 0 then Some ((i lsl 3) + lowest_bit x 0) else byte_scan (i + 1)
   in
   byte_scan 0
 

@@ -93,35 +93,28 @@ let test_prng_shuffle_permutation () =
 (* Heap                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Every pending (time, value), earliest first. *)
+let drain h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else
+      let t = Heap.min_time h in
+      go ((t, Heap.pop_min h) :: acc)
+  in
+  go []
+
 let test_heap_ordering () =
   let h = Heap.create () in
   List.iter (fun t -> Heap.push h ~time:t (int_of_float (t *. 10.))) [ 3.0; 1.0; 2.0; 0.5; 2.5 ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, v) ->
-      order := v :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check Alcotest.(list int) "sorted by time" [ 5; 10; 20; 25; 30 ] (List.rev !order)
+  check Alcotest.(list int) "sorted by time" [ 5; 10; 20; 25; 30 ] (List.map snd (drain h))
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   for i = 0 to 99 do
     Heap.push h ~time:1.0 i
   done;
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, v) ->
-      out := v :: !out;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check Alcotest.(list int) "ties in insertion order" (List.init 100 Fun.id) (List.rev !out)
+  check Alcotest.(list int) "ties in insertion order" (List.init 100 Fun.id)
+    (List.map snd (drain h))
 
 let test_heap_interleaved () =
   let h = Heap.create () in
@@ -129,15 +122,10 @@ let test_heap_interleaved () =
   Heap.push h ~time:1. "a";
   checkb "not empty" false (Heap.is_empty h);
   checki "size 2" 2 (Heap.size h);
-  (match Heap.pop h with
-  | Some (t, v) ->
-    check Alcotest.(float 0.0) "first time" 1. t;
-    check Alcotest.string "first value" "a" v
-  | None -> Alcotest.fail "unexpected empty");
+  check Alcotest.(float 0.0) "first time" 1. (Heap.min_time h);
+  check Alcotest.string "first value" "a" (Heap.pop_min h);
   Heap.push h ~time:0.5 "z";
-  (match Heap.pop h with
-  | Some (_, v) -> check Alcotest.string "reordered" "z" v
-  | None -> Alcotest.fail "unexpected empty");
+  check Alcotest.string "reordered" "z" (Heap.pop_min h);
   (match Heap.peek_time h with
   | Some t -> check Alcotest.(float 0.0) "peek" 5. t
   | None -> Alcotest.fail "peek empty")
@@ -147,46 +135,29 @@ let test_heap_clear () =
   Heap.push h ~time:1. 1;
   Heap.clear h;
   checkb "empty after clear" true (Heap.is_empty h);
-  checkb "pop none" true (Heap.pop h = None)
+  checki "size 0 after clear" 0 (Heap.size h)
 
 let test_heap_random_order_matches_sort () =
   let g = Prng.create 23L in
   let h = Heap.create () in
   let times = Array.init 500 (fun _ -> Prng.float g 100.) in
   Array.iter (fun t -> Heap.push h ~time:t t) times;
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, v) ->
-      out := v :: !out;
-      drain ()
-    | None -> ()
-  in
-  drain ();
   let sorted = Array.copy times in
   Array.sort compare sorted;
-  check Alcotest.(list (float 0.0)) "heap sorts" (Array.to_list sorted) (List.rev !out)
+  check Alcotest.(list (float 0.0)) "heap sorts" (Array.to_list sorted) (List.map snd (drain h))
 
-let test_heap_pop_min_matches_pop () =
+let test_heap_min_time_tracks_pop_min () =
+  (* [min_time] is the time the next [pop_min] value was pushed at, and
+     values come out in (time, push order). *)
   let g = Prng.create 29L in
   let times = Array.init 300 (fun _ -> Prng.float g 10.) in
-  let mk () =
-    let h = Heap.create () in
-    Array.iteri (fun i t -> Heap.push h ~time:t i) times;
-    h
+  let h = Heap.create () in
+  Array.iteri (fun i t -> Heap.push h ~time:t i) times;
+  let expected =
+    List.mapi (fun i t -> (t, i)) (Array.to_list times)
+    |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
   in
-  (* Same pushes through both drains must give the same sequence. *)
-  let a = mk () and b = mk () in
-  while not (Heap.is_empty a) do
-    let t = Heap.min_time a in
-    let v = Heap.pop_min a in
-    match Heap.pop b with
-    | Some (t', v') ->
-      check Alcotest.(float 0.0) "min_time = pop time" t' t;
-      checki "pop_min = pop value" v' v
-    | None -> Alcotest.fail "b drained early"
-  done;
-  checkb "b drained" true (Heap.is_empty b)
+  check Alcotest.(list (pair (float 0.0) int)) "drain order" expected (drain h)
 
 let test_heap_grow_preserves_order () =
   (* Push far past the initial capacity; order must survive every grow. *)
@@ -646,6 +617,77 @@ let test_sim_after_queries_crash () =
   checkb "died at the second query" true (outcome.Sim.outputs.(0) = None);
   checki "exactly 2 queries counted" 2 (Metrics.peer outcome.Sim.metrics 0).Metrics.queries
 
+let test_sim_calls_outside_run () =
+  (* Direct calls find no running peer; they must not fall through to an
+     unhandled effect. *)
+  Alcotest.check_raises "query" (Invalid_argument "Sim.query: called outside Sim.run") (fun () ->
+      ignore (S.query 0));
+  Alcotest.check_raises "send" (Invalid_argument "Sim.send: called outside Sim.run") (fun () ->
+      S.send 0 (Smsg.Ping 1));
+  Alcotest.check_raises "receive" (Invalid_argument "Sim.receive: called outside Sim.run")
+    (fun () -> ignore (S.receive ()))
+
+let test_sim_nested_run () =
+  (* Peer 0 runs a whole one-peer simulation, then queries and sends in its
+     own run: those calls must be charged to the outer peer. *)
+  let inner () =
+    S.run (Sim.default_config ~k:1 ~query_bit) (fun _ ->
+        List.iter (fun i -> ignore (S.query i)) [ 0; 1; 2 ];
+        S.send 0 (Smsg.Ping 0);
+        ignore (S.receive ()))
+  in
+  let outcome =
+    S.run (Sim.default_config ~k:2 ~query_bit) (fun i ->
+        if i = 0 then begin
+          let o = inner () in
+          ignore (S.query 0);
+          ignore (S.query 1);
+          S.send 1 (Smsg.Ping 7);
+          Some o
+        end
+        else begin
+          ignore (S.receive ());
+          None
+        end)
+  in
+  checkb "outer completed" true (outcome.Sim.status = Sim.Completed);
+  let outer = Metrics.peer outcome.Sim.metrics 0 in
+  checki "outer queries" 2 outer.Metrics.queries;
+  checki "outer sends" 1 outer.Metrics.msgs_sent;
+  checki "outer peer 1 received" 1 (Metrics.peer outcome.Sim.metrics 1).Metrics.msgs_received;
+  match outcome.Sim.outputs.(0) with
+  | Some (_, Some o) ->
+    checkb "inner completed" true (o.Sim.status = Sim.Completed);
+    checki "inner queries" 3 (Metrics.peer o.Sim.metrics 0).Metrics.queries;
+    checki "inner sends" 1 (Metrics.peer o.Sim.metrics 0).Metrics.msgs_sent
+  | _ -> Alcotest.fail "peer 0 has no inner outcome"
+
+let test_sim_query_latency_pin () =
+  (* Every query suspends the peer until its reply event: 3 starts, 9 query
+     replies and 6 deliveries. Peer p's queries take 0.25 + 0.1p each, so
+     the last broadcast (peer 2, at 1.35) lands at 2.35. *)
+  let cfg =
+    {
+      (Sim.default_config ~k:3 ~query_bit) with
+      query_latency = (fun ~peer ~time:_ -> 0.25 +. (0.1 *. float_of_int peer));
+    }
+  in
+  let outcome =
+    S.run cfg (fun _ ->
+        let bits = List.map S.query [ 0; 1; 2 ] in
+        S.broadcast (Smsg.Value (List.hd bits));
+        ignore (S.receive ());
+        ignore (S.receive ());
+        List.length (List.filter Fun.id bits))
+  in
+  checkb "completed" true (outcome.Sim.status = Sim.Completed);
+  checki "events" 18 outcome.Sim.events;
+  check Alcotest.(float 1e-9) "T" 2.35 outcome.Sim.end_time;
+  let ends = Array.map (function Some (t, v) -> (t, v) | None -> (nan, -1)) outcome.Sim.outputs in
+  check
+    Alcotest.(array (pair (float 1e-9) int))
+    "per-peer end and ones" [| (2.35, 2); (2.35, 2); (2.05, 2) |] ends
+
 let test_trace_stats_matrices () =
   let trace = Trace.create () in
   let cfg = { (Sim.default_config ~k:3 ~query_bit) with trace = Some trace } in
@@ -776,7 +818,7 @@ let suite =
     ("heap interleaved ops", `Quick, test_heap_interleaved);
     ("heap clear", `Quick, test_heap_clear);
     ("heap matches sort", `Quick, test_heap_random_order_matches_sort);
-    ("heap pop_min matches pop", `Quick, test_heap_pop_min_matches_pop);
+    ("heap min_time tracks pop_min", `Quick, test_heap_min_time_tracks_pop_min);
     ("heap grow preserves order", `Quick, test_heap_grow_preserves_order);
     ("heap reuse after clear", `Quick, test_heap_reuse_after_clear);
     ("heap empty accessors raise", `Quick, test_heap_empty_accessors_raise);
@@ -804,6 +846,9 @@ let suite =
     ("sim crash during query wait", `Quick, test_sim_crash_during_query_wait);
     ("sim crash before start", `Quick, test_sim_crash_before_start);
     ("sim after-queries crash", `Quick, test_sim_after_queries_crash);
+    ("sim calls outside a run", `Quick, test_sim_calls_outside_run);
+    ("sim nested run", `Quick, test_sim_nested_run);
+    ("sim query latency pin", `Quick, test_sim_query_latency_pin);
     ("trace stats matrices", `Quick, test_trace_stats_matrices);
     ("trace save/load roundtrip", `Quick, test_trace_save_load_roundtrip);
     ("trace load rejects garbage", `Quick, test_trace_load_rejects_garbage);

@@ -67,6 +67,69 @@ let prop_bits_flip_involution =
       let i = i mod String.length s in
       Bitarray.equal (Bitarray.flip (Bitarray.flip a i) i) a)
 
+(* The byte kernels against a bool-list model. Arrays run from 0 to 200
+   bits, the ends included, and every case tries each bit offset [pos land 7]
+   that fits for [sub] and [blit]. Each result must hold the model's bits
+   with zero padding: equal, [compare]-equal and hash-equal to the array
+   rebuilt from its string, and to one built bit by bit with [set]. *)
+let bools_of x = List.init (Bitarray.length x) (Bitarray.get x)
+
+let of_bools l =
+  let x = Bitarray.create (List.length l) in
+  List.iteri (fun i b -> if b then Bitarray.set x i true) l;
+  x
+
+let take n l = List.filteri (fun i _ -> i < n) l
+let drop n l = List.filteri (fun i _ -> i >= n) l
+
+let same_array x model =
+  let same y = Bitarray.equal x y && Bitarray.compare x y = 0 && Hashtbl.hash x = Hashtbl.hash y in
+  bools_of x = model && same (Bitarray.of_string (Bitarray.to_string x)) && same (of_bools model)
+
+let bits_model_arb =
+  let bools =
+    QCheck.Gen.(
+      frequency [ (1, return 0); (1, return 200); (8, int_range 0 200) ] >>= fun n ->
+      list_repeat n bool)
+  in
+  let print (xs, ys, u, v) =
+    let s l = String.concat "" (List.map (fun b -> if b then "1" else "0") l) in
+    Printf.sprintf "xs=%s ys=%s u=%d v=%d" (s xs) (s ys) u v
+  in
+  QCheck.make ~print QCheck.Gen.(quad bools bools (int_range 0 1000) (int_range 0 1000))
+
+let prop_bits_kernels_model =
+  QCheck.Test.make ~name:"bitarray: byte kernels match a bool-list model" ~count:300
+    bits_model_arb (fun (xs, ys, u, v) ->
+      let x = of_bools xs and y = of_bools ys in
+      let n = List.length xs and m = List.length ys in
+      let ok = ref true in
+      let expect r model = if not (same_array r model) then ok := false in
+      for off = 0 to Int.min 7 n do
+        let pos = off + (8 * (u mod (1 + ((n - off) / 8)))) in
+        let len = v mod (n - pos + 1) in
+        expect (Bitarray.sub x ~pos ~len) (take len (drop pos xs));
+        let src = take (Int.min m (n - pos)) ys in
+        let dst = Bitarray.copy x in
+        Bitarray.blit ~src:(of_bools src) ~dst ~pos;
+        expect dst (take pos xs @ src @ drop (pos + List.length src) xs)
+      done;
+      expect (Bitarray.append x y) (xs @ ys);
+      let xa = Array.of_list xs and calls = ref [] in
+      let r = Bitarray.init n (fun i -> calls := i :: !calls; xa.(i)) in
+      expect r xs;
+      if List.rev !calls <> List.init n Fun.id then ok := false;
+      if n > 0 then begin
+        let flipped = List.mapi (fun i b -> if i = u mod n || i = v mod n then not b else b) xs in
+        let rec first i = function
+          | a :: l, b :: l' -> if Bool.equal a b then first (i + 1) (l, l') else Some i
+          | _ -> None
+        in
+        if Bitarray.first_diff x (of_bools flipped) <> first 0 (xs, flipped) then ok := false
+      end;
+      if Bitarray.first_diff x (Bitarray.copy x) <> None then ok := false;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Order_pool                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -517,6 +580,7 @@ let suite =
       prop_bits_first_diff;
       prop_bits_append_sub;
       prop_bits_flip_involution;
+      prop_bits_kernels_model;
       prop_order_pool_matches_list;
       prop_segment_tiles;
       prop_segment_of_bit;
