@@ -1,4 +1,4 @@
-.PHONY: all build test lint race bench bench-check bench-diff check check-smoke soak net-smoke net-chaos clean
+.PHONY: all build test lint race bench bench-check bench-diff perf-smoke check check-smoke soak net-smoke net-chaos clean
 
 all: build
 
@@ -37,6 +37,15 @@ OLD ?= .
 bench-diff:
 	dune exec bin/dr_bench_diff.exe -- $(OLD)/BENCH_engine.json BENCH_engine.json
 	dune exec bin/dr_bench_diff.exe -- $(OLD)/BENCH_protocols.json BENCH_protocols.json
+
+# Correctness smoke of the repository benchmark (perfbench/): a 2-second
+# run of each simulator workload. run.py exits nonzero when any op fails its
+# verdict, its Spec bound or a re-execution check. Only the exit code
+# matters: figures from so short a run are not a measurement.
+perf-smoke:
+	for w in sim-byz sim-crash check-byz; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
 
 # Model checker: schedule-fuzz every registry protocol against the invariant
 # oracle (agreement / termination / spec-bound). `make check` is the real

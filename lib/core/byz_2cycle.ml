@@ -30,22 +30,26 @@ type attack =
   | Adaptive of Adaptive.plan
   | Mirror
 
+(* The frequency threshold for [s] segments: half the h = k - 2t honest
+   peers' expected reports per segment, h / 2s, at least 1. *)
+let rho_for ~k ~t ~s = max 1 (max 1 (k - (2 * t)) / (2 * s))
+
 let plan ~k ~n ~t =
   let h = max 1 (k - (2 * t)) in
   let margin = 3. *. log (float_of_int (max k 2)) in
   let s_max = int_of_float (float_of_int h /. margin) in
   let s = max 1 (min s_max n) in
-  let rho = max 1 (h / (2 * s)) in
-  (s, rho)
+  (s, rho_for ~k ~t ~s)
 
 module Process (T : Transport.S with type msg = Msg.t) = struct
   let run_with ?(attack = Near_miss) ?segments ?rho inst i =
     let n = Problem.n inst in
     let k = inst.Problem.k in
     let t = Problem.t inst in
-    let s_default, rho_default = plan ~k ~n ~t in
-    let s = match segments with Some s -> max 1 (min s n) | None -> s_default in
-    let rho = match rho with Some r -> max 1 r | None -> rho_default in
+    let s = match segments with Some s -> max 1 (min s n) | None -> fst (plan ~k ~n ~t) in
+    (* ρ follows the s actually used, so a [segments] override keeps the
+       threshold consistent; an explicit [rho] still wins. *)
+    let rho = match rho with Some r -> max 1 r | None -> rho_for ~k ~t ~s in
     let spec = Segment.make ~n ~s in
     let query_segment j =
       let pos, len = Segment.bounds spec j in

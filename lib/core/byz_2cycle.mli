@@ -55,7 +55,9 @@ val run_with :
   Problem.instance ->
   Problem.report
 (** Defaults: [attack = Near_miss]; [segments]/[rho] per the case analysis
-    (overridable for the ρ-ablation bench). *)
+    (overridable for the ρ-ablation bench). Without [rho], ρ = h/2s is
+    computed from the [s] actually used, so a [segments] override alone
+    keeps the threshold consistent with it. *)
 
 val core : ?attack:attack -> ?segments:int -> ?rho:int -> unit -> (module Transport.CORE)
 (** The transport-generic protocol core (see {!Transport.CORE}) with the

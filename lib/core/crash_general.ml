@@ -18,20 +18,29 @@ type msg =
     }
   | Full of { part : int; bits : Bitarray.t }  (** termination flood: whole array *)
 
+(* Number of binary digits of [v >= 0]; 0 for 0. *)
+let rec bit_length v = if v = 0 then 0 else 1 + bit_length (v lsr 1)
+
+(* ⌈log2 v⌉ for [v >= 1], but at least 1. *)
 let ceil_log2 v =
-  let rec go acc p = if p >= v then acc else go (acc + 1) (p * 2) in
-  max 1 (go 0 1)
+  let l = bit_length (v - 1) in
+  if l = 0 then 1 else l
 
 module Msg = struct
   type t = msg
 
   let header = 64
 
-  (* Index entries are charged ⌈log2 n⌉ bits each; values 1 bit each. The
-     size is data-dependent, so compute it from the payload itself (n is
-     recovered conservatively from the largest index). *)
+  (* Each index entry [i] is charged ⌈log2 (i + 2)⌉ bits, the bit length of
+     [i + 1] and at least 1; each value is charged 1 bit. An index below n
+     costs at most the ⌈log2 (n + 2)⌉ bits per entry that [cap] budgets for
+     when it sizes a batch, so every batch fits the message bound. *)
   let idx_cost idx =
-    Array.fold_left (fun acc i -> acc + ceil_log2 (i + 2)) 0 idx
+    let acc = ref 0 in
+    for r = 0 to Array.length idx - 1 do
+      acc := !acc + ceil_log2 (idx.(r) + 2)
+    done;
+    !acc
 
   let size_bits = function
     | Request1 { idx; _ } -> header + idx_cost idx
@@ -100,33 +109,35 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     in
     (* Current assignment of each bit. *)
     let assign = Array.init n (fun b -> Segment.of_bit spec b) in
-    (* --- per-phase bookkeeping --- *)
-    let heard : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-    (* (phase, peer) in S_p *)
-    let heard_count : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let reply1_recv : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-    (* (phase, peer) -> parts received so far *)
-    let requests_sent : (int * int, int array) Hashtbl.t = Hashtbl.create 64 in
-    (* (phase, peer) -> indices I pulled from them (for Reply2 content) *)
-    let my_missing : (int, int array) Hashtbl.t = Hashtbl.create 8 in
-    let resp2_have : (int * int * int, int) Hashtbl.t = Hashtbl.create 64 in
-    (* (phase, responder, about) -> parts received *)
-    let resp2_answered : (int * int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-    (* (phase, responder, about): the responder's full answer arrived *)
+    (* --- per-phase bookkeeping ---
+       Row [p] of each table belongs to phase p (1..max_phase; row 0 is never
+       used) and is indexed by peer, or by [responder * k + about] for the
+       [resp2_*] rows. The rows of phase p are allocated when this peer
+       enters it, the [resp2_*] rows only once it asks about missing peers,
+       so memory follows the phases actually run. Every message of phase p
+       that reaches a table answers a request this peer sent in phase p, so
+       its row exists. A phase outside 1..max_phase, or one this peer never
+       entered, raises [Invalid_argument] on the row access. *)
+    let heard = Array.make (max_phase + 1) [||] in
+    (* peer in S_p *)
+    let heard_count = Array.make (max_phase + 1) 0 in
+    let reply1_recv = Array.make (max_phase + 1) [||] in
+    (* peer -> parts received so far *)
+    let requests_sent = Array.make (max_phase + 1) [||] in
+    (* peer -> indices I pulled from them (for Reply2 content) *)
+    let resp2_have = Array.make (max_phase + 1) [||] in
+    (* responder * k + about -> parts received *)
+    let resp2_answered = Array.make (max_phase + 1) [||] in
+    (* responder * k + about: the responder's full answer arrived *)
     let full_asm : (int, Wire.Assembly.t) Hashtbl.t = Hashtbl.create 8 in
     let pending_req1 : (int * msg) list ref = ref [] in
     let pending_req2 : (int * msg) list ref = ref [] in
-    let bump table key =
-      let v = match Hashtbl.find_opt table key with Some v -> v | None -> 0 in
-      Hashtbl.replace table key (v + 1);
-      v + 1
-    in
-    let get0 table key = match Hashtbl.find_opt table key with Some v -> v | None -> 0 in
-    let in_heard phase peer = Hashtbl.mem heard (phase, peer) in
+    let in_heard phase peer = heard.(phase).(peer) in
     let mark_heard phase peer =
-      if not (in_heard phase peer) then begin
-        Hashtbl.replace heard (phase, peer) ();
-        ignore (bump heard_count phase)
+      let row = heard.(phase) in
+      if not row.(peer) then begin
+        row.(peer) <- true;
+        heard_count.(phase) <- heard_count.(phase) + 1
       end
     in
     (* Send a (idx, vals) batch under the message bound. *)
@@ -175,11 +186,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         Array.iter
           (fun u ->
             if in_heard phase u then begin
-              let idx =
-                match Hashtbl.find_opt requests_sent (phase, u) with
-                | Some a -> a
-                | None -> [||]
-              in
+              let idx = requests_sent.(phase).(u) in
               send_batched src
                 (fun ~idx ~vals ~part ~parts ->
                   Reply2 { phase; about = u; known = true; idx; vals; part; parts })
@@ -198,15 +205,18 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         else pending_req1 := (src, m) :: !pending_req1
       | Reply1 { phase; idx; vals; parts; _ } ->
         learn_pairs idx vals;
-        let got = bump reply1_recv (phase, src) in
-        if got >= parts then mark_heard phase src
+        let row = reply1_recv.(phase) in
+        row.(src) <- row.(src) + 1;
+        if row.(src) >= parts then mark_heard phase src
       | Request2 { phase; _ } ->
         if phase < !my_phase || (phase = !my_phase && !my_stage >= 3) then answer_req2 src m
         else pending_req2 := (src, m) :: !pending_req2
       | Reply2 { phase; about; known; idx; vals; parts; _ } ->
         if known then learn_pairs idx vals;
-        let got = bump resp2_have (phase, src, about) in
-        if got = parts then Hashtbl.replace resp2_answered (phase, src, about) ()
+        let i = (src * k) + about in
+        let row = resp2_have.(phase) in
+        row.(i) <- row.(i) + 1;
+        if row.(i) = parts then resp2_answered.(phase).(i) <- true
       | Full { part; bits } ->
         let asm =
           match Hashtbl.find_opt full_asm src with
@@ -270,18 +280,30 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       else begin
         (* ---- Stage 1: query my assigned unknown bits; pull the rest. ---- *)
         my_stage := 1;
+        heard.(p) <- Array.make k false;
+        reply1_recv.(p) <- Array.make k 0;
         for b = 0 to n - 1 do
           if (not know.(b)) && assign.(b) = me then learn b (T.query b)
         done;
-        (* Bucket my unknown bits by assignee in one pass over the array. *)
-        let wants = Array.make k [] in
-        for b = n - 1 downto 0 do
-          if not know.(b) then wants.(assign.(b)) <- b :: wants.(assign.(b))
+        (* Bucket my unknown bits by assignee, each bucket in ascending bit
+           order: count per assignee, then fill in one pass. *)
+        let fill = Array.make k 0 in
+        for b = 0 to n - 1 do
+          if not know.(b) then fill.(assign.(b)) <- fill.(assign.(b)) + 1
         done;
+        let wants = Array.map (fun c -> Array.make c 0) fill in
+        Array.fill fill 0 k 0;
+        for b = 0 to n - 1 do
+          if not know.(b) then begin
+            let q = assign.(b) in
+            wants.(q).(fill.(q)) <- b;
+            fill.(q) <- fill.(q) + 1
+          end
+        done;
+        requests_sent.(p) <- wants;
         for q = 0 to k - 1 do
           if q <> me then begin
-            let idx = Array.of_list wants.(q) in
-            Hashtbl.replace requests_sent (p, q) idx;
+            let idx = wants.(q) in
             let total = Array.length idx in
             let parts = max 1 ((total + cap - 1) / cap) in
             for part = 0 to parts - 1 do
@@ -294,7 +316,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         my_stage := 2;
         drain_pending ();
         (* ---- Stage 2: hear from k-t peers (incl. self). ---- *)
-        wait_until (fun () -> get0 heard_count p >= quorum_others || !unknown = 0);
+        wait_until (fun () -> heard_count.(p) >= quorum_others || !unknown = 0);
         if !unknown = 0 then begin
           my_phase := p + 1;
           finish ()
@@ -304,7 +326,6 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
             Array.of_seq
               (Seq.filter (fun q -> q <> me && not (in_heard p q)) (Seq.init k Fun.id))
           in
-          Hashtbl.replace my_missing p missing;
           if Array.length missing = 0 then begin
             (* Heard everyone: nothing to ask. *)
             my_stage := 3;
@@ -315,6 +336,8 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
             phase_loop ()
           end
           else begin
+            resp2_have.(p) <- Array.make (k * k) 0;
+            resp2_answered.(p) <- Array.make (k * k) false;
             T.broadcast (Request2 { phase = p; missing });
             my_stage := 3;
             drain_pending ();
@@ -323,16 +346,25 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
                every missing peer; with the Theorem 2.13 fast path, a
                missing peer whose own slow reply has arrived no longer
                needs anybody's answer. *)
+            let heard_p = heard.(p) and answered = resp2_answered.(p) in
+            let nmissing = Array.length missing in
             let enough_responders () =
-              let needed u = not (fast_path && in_heard p u) in
-              let complete q =
-                Array.for_all
-                  (fun u -> (not (needed u)) || Hashtbl.mem resp2_answered (p, q, u))
-                  missing
-              in
               let count = ref 0 in
               for q = 0 to k - 1 do
-                if q <> me && complete q then incr count
+                if q <> me then begin
+                  (* q is complete when no missing peer still needs its answer. *)
+                  let base = q * k in
+                  let j = ref 0 in
+                  while
+                    !j < nmissing
+                    &&
+                    let u = missing.(!j) in
+                    (fast_path && heard_p.(u)) || answered.(base + u)
+                  do
+                    incr j
+                  done;
+                  if !j = nmissing then incr count
+                end
               done;
               !count >= quorum_others
             in

@@ -1,44 +1,64 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The four xoshiro256** state words s0..s3 live unboxed in one 32-byte
+   buffer, at byte offsets 0, 8, 16 and 24. Every step reads and writes them
+   through the int64 byte primitives, and the helpers below are inlined, so
+   the int64 arithmetic stays in registers: no draw that returns an
+   immediate allocates. *)
+type t = Bytes.t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] get g i = Bytes.get_int64_ne g (i * 8)
+let[@inline] set g i v = Bytes.set_int64_ne g (i * 8) v
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* splitmix64, used to expand seeds into full xoshiro state. *)
-let splitmix_next state =
-  state := Int64.add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
+(* splitmix64's increment and output mix, used to expand a seed into the
+   full xoshiro state. *)
+let golden_gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] splitmix_mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed =
-  let st = ref seed in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
-  { s0; s1; s2; s3 }
+let[@inline] create seed =
+  let g = Bytes.create 32 in
+  let z1 = Int64.add seed golden_gamma in
+  let z2 = Int64.add z1 golden_gamma in
+  let z3 = Int64.add z2 golden_gamma in
+  let z4 = Int64.add z3 golden_gamma in
+  set g 0 (splitmix_mix z1);
+  set g 1 (splitmix_mix z2);
+  set g 2 (splitmix_mix z3);
+  set g 3 (splitmix_mix z4);
+  g
 
-let next64 g =
-  let result = Int64.mul (rotl (Int64.mul g.s1 5L) 7) 9L in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- Int64.logxor g.s2 g.s0;
-  g.s3 <- Int64.logxor g.s3 g.s1;
-  g.s1 <- Int64.logxor g.s1 g.s2;
-  g.s0 <- Int64.logxor g.s0 g.s3;
-  g.s2 <- Int64.logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+let[@inline] next64 g =
+  let s0 = get g 0 and s1 = get g 1 and s2 = get g 2 and s3 = get g 3 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set g 0 (Int64.logxor s0 s3);
+  set g 1 (Int64.logxor s1 s2);
+  set g 2 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set g 3 (rotl s3 45);
   result
 
 let split g = create (next64 g)
 
+(* [Int64.unsigned_rem x d] for a positive [d], written out so that it is
+   inlined. A negative [x] is 2^64 + x as an unsigned value: halve it
+   (logical shift), divide, double the quotient, and the remainder left over
+   is below 2d, so one conditional subtraction finishes it. *)
+let[@inline] unsigned_rem_pos x d =
+  if x >= 0L then Int64.rem x d
+  else begin
+    let q = Int64.shift_left (Int64.div (Int64.shift_right_logical x 1) d) 1 in
+    let r = Int64.sub x (Int64.mul q d) in
+    let r' = Int64.sub r d in
+    if r' >= 0L then r' else r
+  end
+
 let int g bound =
   assert (bound > 0);
-  Int64.to_int (Int64.unsigned_rem (next64 g) (Int64.of_int bound))
+  Int64.to_int (unsigned_rem_pos (next64 g) (Int64.of_int bound))
 
 let float g bound =
   let mantissa = Int64.shift_right_logical (next64 g) 11 in

@@ -4,7 +4,12 @@
     generators, seeded from a single master seed, so that a whole execution —
     scheduling, latencies, protocol coin flips — is reproducible bit-for-bit
     from [(seed, configuration)] alone. The standard library [Random] is never
-    used. *)
+    used.
+
+    The state is 32 bytes of unboxed words, so no draw allocates beyond its
+    result: [int], [bool], [bits], [shuffle] and [pick] never touch the
+    heap, and [next64] and [float] allocate only the boxed number they
+    return. [create] and [split] allocate the 32-byte state. *)
 
 type t
 

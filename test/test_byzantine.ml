@@ -288,6 +288,16 @@ let test_2cycle_rho_too_high_deadlocks () =
   checkb "deadlock" true
     (match r.Problem.status with Dr_engine.Sim.Deadlock _ -> true | _ -> false)
 
+let test_2cycle_segments_override_rescales_rho () =
+  (* A [segments] override alone must bring ρ = h/2s with it. At k=16, t=0
+     the default plan is s=1, ρ=8; keeping ρ=8 with s=2 asks each segment
+     for 8 of the ~8 reports it expects, and most seeds deadlock. With ρ
+     recomputed (16/4 = 4) every seed downloads X. *)
+  for seed = 1 to 20 do
+    let inst = byz_instance ~seed:(Int64.of_int seed) ~k:16 ~n:1024 ~t:0 () in
+    assert_ok (Printf.sprintf "seed %d" seed) (Byz_2cycle.run_with ~segments:2 inst)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Multi-cycle randomized protocol                                     *)
 (* ------------------------------------------------------------------ *)
@@ -402,6 +412,7 @@ let suite =
     ("2cycle: jitter sweep", `Quick, test_2cycle_jitter_sweep);
     ("2cycle: rushing forgeries", `Quick, test_2cycle_rushing_forgeries);
     ("2cycle: rho ablation deadlock", `Quick, test_2cycle_rho_too_high_deadlocks);
+    ("2cycle: segments override rescales rho", `Quick, test_2cycle_segments_override_rescales_rho);
     ("multicycle: plan", `Quick, test_multicycle_plan);
     ("multicycle: small naive", `Quick, test_multicycle_small_naive);
     ("multicycle: attacks", `Quick, test_multicycle_attacks);

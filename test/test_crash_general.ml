@@ -195,6 +195,45 @@ let test_supports () =
     | Ok () -> true
     | Error _ -> false)
 
+(* Heap-scheduler pins at the perfbench sim-crash configuration (k=16,
+   n=2048, t=6, jittered latency, every faulty peer crashing mid-broadcast
+   after 2 sends), both with and without the Theorem 2.13 fast path. The
+   no-fast-path stage-3 quorum check waits for third-party reports about
+   every missing peer; elsewhere it is only checked for a boolean [ok] on
+   small instances. Q, M, T, bits and the event count are pinned exactly;
+   at this configuration both settings give the same figures. *)
+let sim_crash_fingerprint ~fast_path seed =
+  let inst = instance ~seed ~k:16 ~n:2048 ~t:6 () in
+  let (module C : Transport.CORE) = Crash_general.core ~fast_path () in
+  let module T = Sim_transport.Make (C.Msg) in
+  let module P = C.Process (T) in
+  let opts =
+    Exec.make_opts ~latency:(jitter seed)
+      ~crash:(Crash_plan.mid_broadcast inst.Problem.fault ~after_sends:2)
+      ()
+  in
+  let out = T.run_sim (Exec.build_config inst opts) (P.run inst) in
+  let r = Exec.finish ~protocol:C.name inst out in
+  Printf.sprintf "ok=%b Q=%d M=%d T=%.17g bits=%d events=%d" r.Problem.ok r.Problem.q_max
+    r.Problem.msgs r.Problem.time r.Problem.bits_sent out.Dr_engine.Sim.events
+
+let sim_crash_pins =
+  [
+    (1L, "ok=true Q=296 M=3794 T=10.94039687008457 bits=1074438 events=3822");
+    (2L, "ok=true Q=301 M=3794 T=10.617448111661647 bits=1074438 events=3822");
+    (3L, "ok=true Q=301 M=3794 T=10.925640479089658 bits=1074438 events=3822");
+    (4L, "ok=true Q=301 M=3794 T=10.630059840205302 bits=1074438 events=3822");
+  ]
+
+let test_sim_crash_pins ~fast_path () =
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %Ld fast_path=%b" seed fast_path)
+        expected
+        (sim_crash_fingerprint ~fast_path seed))
+    sim_crash_pins
+
 let suite =
   [
     ("no crash: optimal Q", `Quick, test_no_crash_optimal);
@@ -214,4 +253,6 @@ let suite =
     ("message bound respected", `Quick, test_message_bound_respected);
     ("deterministic report", `Quick, test_deterministic_report);
     ("supports", `Quick, test_supports);
+    ("pin: sim-crash config, fast path", `Quick, test_sim_crash_pins ~fast_path:true);
+    ("pin: sim-crash config, no fast path", `Quick, test_sim_crash_pins ~fast_path:false);
   ]

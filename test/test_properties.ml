@@ -189,6 +189,145 @@ let prop_order_pool_matches_list =
       !ok && rejects (-1) && rejects (Order_pool.length pool))
 
 (* ------------------------------------------------------------------ *)
+(* Prng                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The record-based xoshiro256** that [Prng] replaced, kept verbatim as the
+   reference: four mutable boxed int64 fields, splitmix64 through an
+   [int64 ref], and [Int64.unsigned_rem] for [int]. Every stream in the tree
+   (schedules, latencies, instances, coin flips) must stay bit-identical to
+   it. *)
+module Ref_prng = struct
+  type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+
+  let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let splitmix_next state =
+    state := Int64.add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create seed =
+    let st = ref seed in
+    let s0 = splitmix_next st in
+    let s1 = splitmix_next st in
+    let s2 = splitmix_next st in
+    let s3 = splitmix_next st in
+    { s0; s1; s2; s3 }
+
+  let next64 g =
+    let result = Int64.mul (rotl (Int64.mul g.s1 5L) 7) 9L in
+    let t = Int64.shift_left g.s1 17 in
+    g.s2 <- Int64.logxor g.s2 g.s0;
+    g.s3 <- Int64.logxor g.s3 g.s1;
+    g.s1 <- Int64.logxor g.s1 g.s2;
+    g.s0 <- Int64.logxor g.s0 g.s3;
+    g.s2 <- Int64.logxor g.s2 t;
+    g.s3 <- rotl g.s3 45;
+    result
+
+  let split g = create (next64 g)
+  let int g bound = Int64.to_int (Int64.unsigned_rem (next64 g) (Int64.of_int bound))
+
+  let float g bound =
+    let mantissa = Int64.shift_right_logical (next64 g) 11 in
+    Int64.to_float mantissa *. (1.0 /. 9007199254740992.0) *. bound
+
+  let bool g = Int64.logand (next64 g) 1L = 1L
+  let bits g w = if w = 0 then 0 else Int64.to_int (Int64.shift_right_logical (next64 g) (64 - w))
+
+  let shuffle g a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int g (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+end
+
+type prng_op =
+  | Next64
+  | Split
+  | Float of float
+  | Bool
+  | Bits of int
+  | Int of int
+  | Shuffle of int
+
+(* Seeds: the edge values, including 0 and negative int64s, or any int64.
+   Bounds for [int]: 1, every power of two an [int] holds, 2^30 + 1,
+   [max_int], or a small or arbitrary positive int. Half of all raw draws
+   are negative as signed int64, so most [int] calls take the unsigned
+   branch of the remainder. *)
+let prng_case_arb =
+  let open QCheck.Gen in
+  let seed =
+    frequency
+      [
+        (1, oneofl [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x9E3779B97F4A7C15L ]);
+        (3, ui64);
+      ]
+  in
+  let bound =
+    frequency
+      [
+        (2, oneofl ([ 1; (1 lsl 30) + 1; max_int ] @ List.init 62 (fun e -> 1 lsl e)));
+        (1, int_range 1 1000);
+        (1, map (fun b -> 1 + (b land (max_int - 1))) int);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (4, return Next64);
+        (1, return Split);
+        (2, map (fun b -> Float b) (oneofl [ 1.0; 0.95; 1e6 ]));
+        (2, return Bool);
+        (2, map (fun w -> Bits w) (int_range 0 30));
+        (6, map (fun b -> Int b) bound);
+        (1, map (fun n -> Shuffle n) (int_range 0 40));
+      ]
+  in
+  let print_op = function
+    | Next64 -> "next64"
+    | Split -> "split"
+    | Float b -> Printf.sprintf "float %g" b
+    | Bool -> "bool"
+    | Bits w -> Printf.sprintf "bits %d" w
+    | Int b -> Printf.sprintf "int %d" b
+    | Shuffle n -> Printf.sprintf "shuffle %d" n
+  in
+  QCheck.make
+    ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %Ld: %s" seed (String.concat "; " (List.map print_op ops)))
+    (pair seed (list_size (int_range 1 60) op))
+
+let prop_prng_matches_reference =
+  QCheck.Test.make ~name:"prng: same streams as the record-based reference" ~count:500
+    prng_case_arb (fun (seed, ops) ->
+      let g = ref (Prng.create seed) and r = ref (Ref_prng.create seed) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Next64 -> Int64.equal (Prng.next64 !g) (Ref_prng.next64 !r)
+          | Split ->
+            g := Prng.split !g;
+            r := Ref_prng.split !r;
+            Int64.equal (Prng.next64 !g) (Ref_prng.next64 !r)
+          | Float b -> Float.equal (Prng.float !g b) (Ref_prng.float !r b)
+          | Bool -> Bool.equal (Prng.bool !g) (Ref_prng.bool !r)
+          | Bits w -> Int.equal (Prng.bits !g w) (Ref_prng.bits !r w)
+          | Int b -> Int.equal (Prng.int !g b) (Ref_prng.int !r b)
+          | Shuffle n ->
+            let a = Array.init n Fun.id and a' = Array.init n Fun.id in
+            Prng.shuffle !g a;
+            Ref_prng.shuffle !r a';
+            a = a')
+        ops)
+
+(* ------------------------------------------------------------------ *)
 (* Segment                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -582,6 +721,7 @@ let suite =
       prop_bits_flip_involution;
       prop_bits_kernels_model;
       prop_order_pool_matches_list;
+      prop_prng_matches_reference;
       prop_segment_tiles;
       prop_segment_of_bit;
       prop_segment_children_concat;
