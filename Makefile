@@ -39,13 +39,16 @@ bench-diff:
 	dune exec bin/dr_bench_diff.exe -- $(OLD)/BENCH_protocols.json BENCH_protocols.json
 
 # Correctness smoke of the repository benchmark (perfbench/): a 2-second
-# run of each simulator workload. run.py exits nonzero when any op fails its
-# verdict, its Spec bound or a re-execution check. Only the exit code
-# matters: figures from so short a run are not a measurement.
+# run of each simulator workload, then a traced sim-byz run, which also
+# drives the benchmark's transport wrapper and its net probe. run.py exits
+# nonzero when any op fails its verdict, its Spec bound or a re-execution
+# check. Only the exit code matters: figures from so short a run are not a
+# measurement.
 perf-smoke:
 	for w in sim-byz sim-crash check-byz; do \
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
+	python3 perfbench/run.py --workload sim-byz --seed 1 --seconds 2 --trace 1
 
 # Model checker: schedule-fuzz every registry protocol against the invariant
 # oracle (agreement / termination / spec-bound). `make check` is the real

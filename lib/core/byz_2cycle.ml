@@ -51,10 +51,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
        threshold consistent; an explicit [rho] still wins. *)
     let rho = match rho with Some r -> max 1 r | None -> rho_for ~k ~t ~s in
     let spec = Segment.make ~n ~s in
-    let query_segment j =
-      let pos, len = Segment.bounds spec j in
-      Bitarray.init len (fun r -> T.query (pos + r))
-    in
+    let query_segment j = T.query (Segment.bounds spec j) in
     let honest i =
       let prng = T.rng () in
       (* ---- Cycle 1: sample, query, broadcast. ---- *)

@@ -67,10 +67,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       | Some base -> max 1 (base * (s1 / s_r))
       | None -> max 1 (h / (2 * s_r))
     in
-    let query_segment spec j =
-      let pos, len = Segment.bounds spec j in
-      Bitarray.init len (fun r -> T.query (pos + r))
-    in
+    let query_segment spec j = T.query (Segment.bounds spec j) in
     let honest i =
       let prng = T.rng () in
       (* Per-cycle report stores; reports for future cycles are buffered by

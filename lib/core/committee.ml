@@ -42,10 +42,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     let blocks = (n + payload_bits - 1) / payload_bits in
     let spec = Segment.make ~n ~s:(min blocks n) in
     let member j i = List.mem i (committee ~k ~size:c j) in
-    let query_block j =
-      let pos, len = Segment.bounds spec j in
-      Bitarray.init len (fun r -> T.query (pos + r))
-    in
+    let query_block j = T.query (Segment.bounds spec j) in
     let honest i =
       let y = Bitarray.create n in
       let decided = Array.make spec.Segment.s false in

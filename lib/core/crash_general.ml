@@ -18,35 +18,43 @@ type msg =
     }
   | Full of { part : int; bits : Bitarray.t }  (** termination flood: whole array *)
 
-(* Number of binary digits of [v >= 0]; 0 for 0. *)
-let rec bit_length v = if v = 0 then 0 else 1 + bit_length (v lsr 1)
+(* Number of binary digits of [v >= 0]; 0 for 0. A loop, not a recursion:
+   it runs for every index entry of every message. *)
+let bit_length v =
+  let v = ref v and l = ref 0 in
+  while !v <> 0 do
+    incr l;
+    v := !v lsr 1
+  done;
+  !l
 
 (* ⌈log2 v⌉ for [v >= 1], but at least 1. *)
 let ceil_log2 v =
   let l = bit_length (v - 1) in
   if l = 0 then 1 else l
 
+(* Each index entry [i] is charged ⌈log2 (i + 2)⌉ bits, the bit length of
+   [i + 1] and at least 1. An index below n costs at most the ⌈log2 (n + 2)⌉
+   bits per entry that [cap] budgets for when it sizes a batch, so every
+   batch fits the message bound. *)
+let index_bits idx =
+  let acc = ref 0 in
+  for r = 0 to Array.length idx - 1 do
+    acc := !acc + ceil_log2 (idx.(r) + 2)
+  done;
+  !acc
+
 module Msg = struct
   type t = msg
 
   let header = 64
 
-  (* Each index entry [i] is charged ⌈log2 (i + 2)⌉ bits, the bit length of
-     [i + 1] and at least 1; each value is charged 1 bit. An index below n
-     costs at most the ⌈log2 (n + 2)⌉ bits per entry that [cap] budgets for
-     when it sizes a batch, so every batch fits the message bound. *)
-  let idx_cost idx =
-    let acc = ref 0 in
-    for r = 0 to Array.length idx - 1 do
-      acc := !acc + ceil_log2 (idx.(r) + 2)
-    done;
-    !acc
-
+  (* Index lists cost [index_bits]; each value is charged 1 bit. *)
   let size_bits = function
-    | Request1 { idx; _ } -> header + idx_cost idx
-    | Reply1 { idx; vals; _ } -> header + idx_cost idx + Bitarray.length vals
+    | Request1 { idx; _ } -> header + index_bits idx
+    | Reply1 { idx; vals; _ } -> header + index_bits idx + Bitarray.length vals
     | Request2 { missing; _ } -> header + (16 * Array.length missing)
-    | Reply2 { idx; vals; _ } -> header + idx_cost idx + Bitarray.length vals
+    | Reply2 { idx; vals; _ } -> header + index_bits idx + Bitarray.length vals
     | Full { bits; _ } -> header + Bitarray.length bits
 
   let tag = function
@@ -264,10 +272,26 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
       pending_req2 := later2;
       List.iter (fun (src, m) -> answer_req2 src m) (List.rev ready2)
     in
+    (* Query the bits that [want] selects, in ascending order, one source
+       call per maximal run of consecutive selected bits. *)
+    let query_runs want =
+      let b = ref 0 in
+      while !b < n do
+        if want !b then begin
+          let pos = !b in
+          while !b < n && want !b do
+            incr b
+          done;
+          let bits = T.query (pos, !b - pos) in
+          for r = 0 to !b - pos - 1 do
+            learn (pos + r) (Bitarray.get bits r)
+          done
+        end
+        else incr b
+      done
+    in
     let finish () =
-      for b = 0 to n - 1 do
-        if not know.(b) then learn b (T.query b)
-      done;
+      query_runs (fun b -> not know.(b));
       List.iter (fun (part, bits) -> T.broadcast (Full { part; bits })) (Wire.split ~b:full_payload y);
       y
     in
@@ -282,9 +306,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
         my_stage := 1;
         heard.(p) <- Array.make k false;
         reply1_recv.(p) <- Array.make k 0;
-        for b = 0 to n - 1 do
-          if (not know.(b)) && assign.(b) = me then learn b (T.query b)
-        done;
+        query_runs (fun b -> (not know.(b)) && assign.(b) = me);
         (* Bucket my unknown bits by assignee, each bucket in ascending bit
            order: count per assignee, then fill in one pass. *)
         let fill = Array.make k 0 in

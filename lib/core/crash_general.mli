@@ -45,6 +45,11 @@ val core : ?fast_path:bool -> unit -> (module Transport.CORE)
     packaged name is ["crash-general"], or ["crash-general-nofp"] with
     [~fast_path:false]. *)
 
+val index_bits : int array -> int
+(** The message bits charged for a list of bit indices in a pull request or
+    reply: ⌈log2 (i + 2)⌉ per entry [i], the bit length of [i + 1] and at
+    least 1. *)
+
 val phases_upper_bound : k:int -> t:int -> int
 (** The r* cap on the number of phases: ⌈log k / log (1/β)⌉ + 2, the point
     by which at most ⌈n/k⌉ bits can remain unknown. *)

@@ -183,8 +183,9 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
     (* ---- Phase 1, stage 1: query own share, broadcast it. ---- *)
     (match seg_of_peer i with
     | Some (pos, len) ->
+      let bits = T.query (pos, len) in
       for r = 0 to len - 1 do
-        learn (pos + r) (T.query (pos + r))
+        learn (pos + r) (Bitarray.get bits r)
       done;
       let mine = Bitarray.sub y ~pos ~len in
       List.iter
@@ -227,7 +228,7 @@ module Process (T : Transport.S with type msg = Msg.t) = struct
               let b = indices.(r) in
               if know.(b) then Bitarray.get y b
               else begin
-                let v = T.query b in
+                let v = Bitarray.get (T.query (b, 1)) 0 in
                 learn b v;
                 v
               end)

@@ -45,7 +45,8 @@ let determine ~query ~offset tree =
     match tree with
     | Leaf s -> (s, spent)
     | Node { index; zero; one } ->
-      if query (offset + index) then walk one (spent + 1) else walk zero (spent + 1)
+      if Bitarray.get (query (offset + index, 1)) 0 then walk one (spent + 1)
+      else walk zero (spent + 1)
   in
   walk tree 0
 

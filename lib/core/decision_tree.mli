@@ -25,10 +25,11 @@ val internal_nodes : t -> int
 val depth : t -> int
 
 val determine :
-  query:(int -> bool) -> offset:int -> t -> Dr_source.Bitarray.t * int
-(** [determine ~query ~offset tree] walks the tree, querying
-    [query (offset + index)] at every internal node, and returns the
-    surviving candidate together with the number of queries spent.
+  query:(int * int -> Dr_source.Bitarray.t) -> offset:int -> t -> Dr_source.Bitarray.t * int
+(** [determine ~query ~offset tree] walks the tree, querying the one-bit
+    range [query (offset + index, 1)] at every internal node (a
+    {!Transport.S.query}), and returns the surviving candidate together
+    with the number of bits spent.
     If the true segment string is a leaf, the result equals it. *)
 
 val contains : t -> Dr_source.Bitarray.t -> bool

@@ -53,7 +53,7 @@ let build_config inst opts =
     latency = opts.latency;
     link_rate = opts.link_rate;
     crash = opts.crash;
-    query_latency = (fun ~peer:_ ~time:_ -> opts.query_latency);
+    query_latency = (fun ~peer:_ -> opts.query_latency);
     start_time = opts.start_time;
     trace = opts.trace;
     max_events = opts.max_events;

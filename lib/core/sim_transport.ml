@@ -1,8 +1,9 @@
 (* The simulator transport: a thin renaming of Dr_engine.Sim.Make to the
-   Transport.S vocabulary. Every function is a direct alias, so a protocol
-   core instantiated over it makes exactly the simulator calls a protocol
-   written against Sim.Make would, in the same order — the golden
-   determinism tests pin the resulting schedules bit-exactly. *)
+   Transport.S vocabulary. Every function but [query] is a direct alias, and
+   [query] only hands the engine the bit-array packer, so a protocol core
+   instantiated over it makes exactly the simulator calls a protocol written
+   against Sim.Make would, in the same order — the golden determinism tests
+   pin the resulting schedules bit-exactly. *)
 
 module Make (M : Transport.MSG) = struct
   module S = Dr_engine.Sim.Make (M)
@@ -14,7 +15,7 @@ module Make (M : Transport.MSG) = struct
   let send = S.send
   let broadcast = S.broadcast
   let receive = S.receive
-  let query = S.query
+  let query range = S.query range Dr_source.Bitarray.init
   let clock = S.now
   let rng = S.rng
   let sleep = S.sleep

@@ -18,7 +18,7 @@ module type S = sig
   val send : int -> msg -> unit
   val broadcast : msg -> unit
   val receive : unit -> int * msg
-  val query : int -> bool
+  val query : int * int -> Dr_source.Bitarray.t
   val clock : unit -> float
   val rng : unit -> Dr_engine.Prng.t
   val sleep : float -> unit

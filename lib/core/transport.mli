@@ -1,7 +1,8 @@
 (** The transport abstraction of the protocol layer.
 
     The paper's protocols are defined purely in terms of point-to-point
-    messages to other peers and [Query(i)] calls to the external source.
+    messages to other peers and [Query(i)] calls to the external source,
+    which {!S.query} batches into ranges.
     {!S} captures exactly that interface — plus the clock/sleep/die hooks the
     Byzantine strategies use — so a protocol core written against it is
     oblivious to {e where} it runs. Two implementations exist:
@@ -46,9 +47,14 @@ module type S = sig
   (** Next delivered message as [(sender, message)]; blocks until one
       arrives. *)
 
-  val query : int -> bool
-  (** Read one bit from the external source (counted in Q — every transport
-      must meter this through {!Dr_source.Data_source} accounting). *)
+  val query : int * int -> Dr_source.Bitarray.t
+  (** [query (pos, len)] reads bits [pos .. pos + len - 1] from the external
+      source in one call and returns them as a [len]-bit array; one bit is
+      [query (i, 1)]. It costs [len] bits of Q: the model charges per bit,
+      not per request. Every transport must meter each bit through
+      {!Dr_source.Data_source} accounting and keep per-bit semantics: bits
+      are read in ascending order, and an [After_queries j] crash plan
+      kills the peer right after bit [j], also inside a range. *)
 
   val clock : unit -> float
   (** Elapsed time: virtual in the simulator, wall-clock in the net runtime.

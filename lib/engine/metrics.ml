@@ -45,11 +45,13 @@ let[@inline] imax a b =
   let d = b - a in
   a + (d land lnot (d asr (Sys.int_size - 1)))
 
-let[@inline] bump t i field =
+let[@inline] add t i field n =
   let idx = (i * stride) + field in
-  Array.unsafe_set t.data idx (Array.unsafe_get t.data idx + 1)
+  Array.unsafe_set t.data idx (Array.unsafe_get t.data idx + n)
 
-let[@inline] on_query t i = bump t i f_queries
+let[@inline] on_queries t i n = add t i f_queries n
+
+let queries t i = t.data.((i * stride) + f_queries)
 
 let on_send t i ~size_bits =
   let base = i * stride in
@@ -60,8 +62,8 @@ let on_send t i ~size_bits =
   Array.unsafe_set t.data (base + f_max_msg_bits)
     (imax (Array.unsafe_get t.data (base + f_max_msg_bits)) size_bits)
 
-let[@inline] on_receive t i = bump t i f_msgs_received
-let[@inline] on_wakeup t i = bump t i f_wakeups
+let[@inline] on_receive t i = add t i f_msgs_received 1
+let[@inline] on_wakeup t i = add t i f_wakeups 1
 
 type summary = {
   max_queries : int;

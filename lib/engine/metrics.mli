@@ -28,7 +28,12 @@ val peer : t -> int -> peer
 
 val peer_count : t -> int
 
-val on_query : t -> int -> unit
+val on_queries : t -> int -> int -> unit
+(** [on_queries t i n] charges [n] source bits to peer [i]. *)
+
+val queries : t -> int -> int
+(** Source bits charged to peer [i] so far. *)
+
 val on_send : t -> int -> size_bits:int -> unit
 val on_receive : t -> int -> unit
 val on_wakeup : t -> int -> unit

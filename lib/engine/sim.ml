@@ -22,7 +22,7 @@ type config = {
   k : int;
   seed : int64;
   query_bit : peer:int -> int -> bool;
-  query_latency : peer:int -> time:float -> float;
+  query_latency : peer:int -> float;
   latency : src:int -> dst:int -> time:float -> size_bits:int -> float;
   link_rate : float;
   crash : int -> crash_spec;
@@ -38,7 +38,7 @@ let default_config ~k ~query_bit =
     k;
     seed = 1L;
     query_bit;
-    query_latency = (fun ~peer:_ ~time:_ -> 0.);
+    query_latency = (fun ~peer:_ -> 0.);
     latency = (fun ~src:_ ~dst:_ ~time:_ ~size_bits:_ -> 1.);
     link_rate = infinity;
     crash = (fun _ -> Never);
@@ -98,6 +98,7 @@ module Make (M : MESSAGE) = struct
         (** one slot, so the clock stays flat (a [float ref] would box on
             every store) *)
     crash_spec : crash_spec array;  (** the plan of each peer, resolved once *)
+    query_delay : float array;  (** [cfg.query_latency] of each peer, resolved once *)
     serialized : bool;  (** [cfg.link_rate] is finite *)
     link_free : (int * int, float) Hashtbl.t;
         (** per ordered link, when it finishes transmitting *)
@@ -114,7 +115,9 @@ module Make (M : MESSAGE) = struct
     mutable wait : wait;
     prng : Prng.t;
     mutable sends : int;
-    mutable queries : int;
+    query_budget : int;
+        (** the peer dies once this many bits are charged: [j] under
+            [After_queries j], [max_int] otherwise *)
   }
 
   type running += Peer of pstate
@@ -189,23 +192,39 @@ module Make (M : MESSAGE) = struct
     let p = current "Sim.receive" in
     if Ring.is_empty p.mailbox then Effect.perform E_receive else Ring.pop p.mailbox
 
-  let query i =
-    let p = current "Sim.query" in
+  (* One bit with every effect a query can have: its trace record, a crash
+     planned at it, and the wait for a delayed reply. *)
+  let query_one p i =
     let w = p.world in
-    Metrics.on_query w.metrics p.id;
-    p.queries <- p.queries + 1;
+    Metrics.on_queries w.metrics p.id 1;
     let value = w.cfg.query_bit ~peer:p.id i in
     if w.trace_on then
       tr w (fun () -> Trace.Queried { time = w.clock.(0); peer = p.id; index = i; value });
-    (match Array.unsafe_get w.crash_spec p.id with
-    | After_queries j when p.queries >= j -> crash_here p
-    | Never | At_time _ | After_sends _ | After_queries _ -> ());
-    let delay = w.cfg.query_latency ~peer:p.id ~time:w.clock.(0) in
+    if Metrics.queries w.metrics p.id >= p.query_budget then crash_here p;
+    let delay = Array.unsafe_get w.query_delay p.id in
     if delay <= 0. then value
     else begin
       Heap.push w.heap ~time:(w.clock.(0) +. delay) (Ev_query_reply { peer = p.id; value });
       Effect.perform E_query_reply
     end
+
+  (* When none of [query_one]'s effects can fire inside the range, the bits
+     are charged at once and read straight from the source; [query_bit]
+     sees the same calls in the same order either way. *)
+  let query (pos, len) pack =
+    let p = current "Sim.query" in
+    let w = p.world in
+    if len < 0 then invalid_arg "Sim.query: negative length";
+    let id = p.id in
+    if (not w.trace_on)
+       && Array.unsafe_get w.query_delay id <= 0.
+       && Metrics.queries w.metrics id + len < p.query_budget
+    then begin
+      Metrics.on_queries w.metrics id len;
+      let query_bit = w.cfg.query_bit in
+      pack len (fun r -> query_bit ~peer:id (pos + r))
+    end
+    else pack len (fun r -> query_one p (pos + r))
 
   let sleep d =
     let p = current "Sim.sleep" in
@@ -226,6 +245,7 @@ module Make (M : MESSAGE) = struct
         metrics = Metrics.create cfg.k;
         clock = [| 0. |];
         crash_spec = Array.init cfg.k cfg.crash;
+        query_delay = Array.init cfg.k (fun peer -> cfg.query_latency ~peer);
         serialized;
         link_free = Hashtbl.create (if serialized then 64 else 1);
         trace_on = cfg.trace <> None;
@@ -243,7 +263,10 @@ module Make (M : MESSAGE) = struct
             wait = Idle;
             prng = Prng.split master;
             sends = 0;
-            queries = 0;
+            query_budget =
+              (match crash_spec.(id) with
+              | After_queries j -> j
+              | Never | At_time _ | After_sends _ -> max_int);
           })
     in
     let slots = Array.map (fun p -> Peer p) peers in

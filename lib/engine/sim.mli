@@ -43,7 +43,8 @@ type crash_spec =
           partial broadcast, the hard case of the crash model. [After_sends 0]
           never sends anything. *)
   | After_queries of int
-      (** crash immediately after the j-th source query is issued *)
+      (** crash immediately after the j-th source bit is read, also when
+          it falls inside a range *)
 
 type status =
   | Completed  (** every live peer's process returned *)
@@ -92,8 +93,9 @@ type config = {
   query_bit : peer:int -> int -> bool;
       (** the external source. Per-peer so that lower-bound adversaries can
           hand corrupted peers a different (simulated) input array. *)
-  query_latency : peer:int -> time:float -> float;
-      (** round-trip delay of a source query; [0.] answers instantly *)
+  query_latency : peer:int -> float;
+      (** round-trip delay of each source bit a peer reads; [0.] answers
+          instantly. Read once per peer when the run starts. *)
   latency : src:int -> dst:int -> time:float -> size_bits:int -> float;
       (** adversarial propagation delay; must be finite and [>= 0.] *)
   link_rate : float;
@@ -148,8 +150,21 @@ module Make (M : MESSAGE) : sig
       arrives. Protocols keep their own buffers for out-of-phase messages,
       as in the paper. *)
 
-  val query : int -> bool
-  (** Read one bit from the source (counted in Q). *)
+  val query : int * int -> (int -> (int -> bool) -> 'a) -> 'a
+  (** [query (pos, len) pack] reads bits [pos .. pos + len - 1] from the
+      source, charges [len] bits of Q, and returns [pack len f], where
+      [f r] is bit [pos + r]. [pack] must call [f] once for each [r] in
+      [0 .. len - 1], in ascending order, as {!Dr_source.Bitarray.init}
+      does; the engine cannot name the bit array type itself.
+
+      The range has per-bit semantics: [query_bit] sees one call per bit,
+      in order; with a trace, each bit leaves its own [Queried] record;
+      under [After_queries j] the peer dies right after bit [j], inside
+      the range if it falls there; under a positive [query_latency] each
+      bit waits for its own reply. When none of these can happen inside
+      the range (no trace, no latency, no planned crash within it), the
+      [len] bits are charged at once and the bits are read in a tight
+      loop. Raises [Invalid_argument] on a negative [len]. *)
 
   val rng : unit -> Prng.t
   (** This peer's private random stream. *)

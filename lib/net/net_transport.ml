@@ -184,13 +184,15 @@ end) : Transport.S with type msg = M.t = struct
     let src, payload = next () in
     (src, (Marshal.from_bytes payload 0 : M.t))
 
-  let query i =
-    let v = Source_client.query e.source i in
-    e.counters.queries <- e.counters.queries + 1;
-    (match e.crash with
-    | Dr_engine.Sim.After_queries j when e.counters.queries >= j -> raise Crashed
-    | _ -> ());
-    v
+  (* One request per bit: the wire has no range request yet. *)
+  let query (pos, len) =
+    Dr_source.Bitarray.init len (fun r ->
+        let v = Source_client.query e.source (pos + r) in
+        e.counters.queries <- e.counters.queries + 1;
+        (match e.crash with
+        | Dr_engine.Sim.After_queries j when e.counters.queries >= j -> raise Crashed
+        | _ -> ());
+        v)
 
   let clock () = Unix.gettimeofday () -. e.start
   let rng () = e.prng

@@ -1,15 +1,17 @@
 (** {!Dr_core.Transport.S} over real sockets.
 
     One peer = one OS process; every peer link is a TCP connection carrying
-    {!Frame}s of [Marshal]-encoded protocol messages; [query] is a blocking
-    round-trip to the {!Source_server} through the retrying
-    {!Source_client}. Per-link receiver threads feed a blocking inbox so
+    {!Frame}s of [Marshal]-encoded protocol messages; [query] makes one
+    blocking round-trip per bit of its range to the {!Source_server}
+    through the retrying {!Source_client} (the wire has no range request
+    yet). Per-link receiver threads feed a blocking inbox so
     [receive] has the same "next delivered message" semantics as the
     simulator.
 
     Crash injection honours the event-counted {!Dr_engine.Sim.crash_spec}s:
     [After_sends j] raises {!Crashed} on the (j+1)-th send attempt (the
-    message is lost), [After_queries j] right after the j-th query's reply.
+    message is lost), [After_queries j] right after the reply to the j-th bit, also inside a
+    range.
     [At_time] is rejected upstream by {!Runner} — wall-clock crash times are
     not meaningful in an asynchronous run.
 

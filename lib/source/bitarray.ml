@@ -11,14 +11,14 @@ let create len =
 
 let length t = t.len
 
-let check t i = if i < 0 || i >= t.len then invalid_arg "Bitarray: index out of bounds"
-
+(* [get] and [set] test their bounds inline: they run once per queried bit,
+   and a call to a shared check costs more than the read itself. *)
 let get t i =
-  check t i;
+  if i < 0 || i >= t.len then invalid_arg "Bitarray: index out of bounds";
   Char.code (Bytes.unsafe_get t.data (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
 let set t i b =
-  check t i;
+  if i < 0 || i >= t.len then invalid_arg "Bitarray: index out of bounds";
   let j = i lsr 3 in
   let byte = Char.code (Bytes.unsafe_get t.data j) in
   let mask = 1 lsl (i land 7) in

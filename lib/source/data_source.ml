@@ -7,12 +7,16 @@ let create ~k x =
 let input t = t.bits
 let n t = Bitarray.length t.bits
 
-let query t ~peer i =
-  if peer < 0 || peer >= Array.length t.counts then invalid_arg "Data_source.query: bad peer";
-  t.counts.(peer) <- t.counts.(peer) + 1;
-  Bitarray.get t.bits i
+(* A closure over the two arguments, so each read is one full application
+   (the simulator makes one per bit). *)
+let query_fn t =
+  let { bits; counts } = t in
+  fun ~peer i ->
+    if peer < 0 || peer >= Array.length counts then invalid_arg "Data_source.query: bad peer";
+    counts.(peer) <- counts.(peer) + 1;
+    Bitarray.get bits i
 
-let query_fn t ~peer i = query t ~peer i
+let query t ~peer i = query_fn t ~peer i
 let queries_by t peer = t.counts.(peer)
 let total_queries t = Array.fold_left ( + ) 0 t.counts
 

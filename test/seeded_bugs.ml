@@ -24,7 +24,7 @@ end
 
 module S = Sim.Make (Msg)
 
-let download n = Bitarray.init n (fun j -> S.query j)
+let download n = S.query (0, n) Bitarray.init
 let seq_equal = List.equal Int.equal
 
 (* Agreement: peers 1 and 2 each send their id twice; peer 0 flips its

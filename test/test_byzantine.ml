@@ -27,7 +27,7 @@ let ba = Bitarray.of_string
 (* Decision trees (Protocol 3)                                         *)
 (* ------------------------------------------------------------------ *)
 
-let query_of truth i = Bitarray.get truth i
+let query_of truth (pos, len) = Bitarray.sub truth ~pos ~len
 
 let test_tree_single_leaf () =
   let tree = Decision_tree.build [ ba "1010" ] in

@@ -50,7 +50,7 @@ end
 
 module S = Sim.Make (Msg)
 
-let download n = Bitarray.init n (fun j -> S.query j)
+let download n = S.query (0, n) Bitarray.init
 
 (* Deliberately order-sensitive: peer 0 outputs X only if peer 1's message
    beats peer 2's — the planted bug the checker must find, shrink and

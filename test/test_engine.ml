@@ -257,6 +257,9 @@ end
 
 module S = Sim.Make (Smsg)
 
+(* One bit, as a one-bit range. *)
+let query1 i = S.query (i, 1) (fun _ f -> f 0)
+
 let input_bits = [| true; false; true; true |]
 let query_bit ~peer:_ i = input_bits.(i)
 
@@ -291,7 +294,7 @@ let test_sim_pingpong () =
 
 let test_sim_query () =
   let cfg = Sim.default_config ~k:1 ~query_bit in
-  let outcome = S.run cfg (fun _ -> List.init 4 S.query) in
+  let outcome = S.run cfg (fun _ -> List.init 4 query1) in
   match outcome.Sim.outputs.(0) with
   | Some (_, vs) -> check Alcotest.(list bool) "queried input" [ true; false; true; true ] vs
   | None -> Alcotest.fail "no output"
@@ -301,7 +304,7 @@ let test_sim_query_metrics () =
   let outcome =
     S.run cfg (fun i ->
         for _ = 1 to i + 1 do
-          ignore (S.query 0)
+          ignore (query1 0)
         done;
         i)
   in
@@ -482,7 +485,7 @@ let test_sim_trace_records () =
   let _ =
     S.run cfg (fun i ->
         if i = 0 then begin
-          ignore (S.query 2);
+          ignore (query1 2);
           S.send 1 (Smsg.Ping 3);
           0
         end
@@ -507,13 +510,13 @@ let test_sim_query_latency () =
   let cfg =
     {
       (Sim.default_config ~k:1 ~query_bit) with
-      query_latency = (fun ~peer:_ ~time:_ -> 0.25);
+      query_latency = (fun ~peer:_ -> 0.25);
     }
   in
   let outcome =
     S.run cfg (fun _ ->
-        ignore (S.query 0);
-        ignore (S.query 1);
+        ignore (query1 0);
+        ignore (query1 1);
         S.now ())
   in
   match outcome.Sim.outputs.(0) with
@@ -578,11 +581,11 @@ let test_sim_crash_during_query_wait () =
   let cfg =
     {
       (Sim.default_config ~k:2 ~query_bit) with
-      query_latency = (fun ~peer:_ ~time:_ -> 10.);
+      query_latency = (fun ~peer:_ -> 10.);
       crash = (fun i -> if i = 0 then Sim.At_time 5. else Sim.Never);
     }
   in
-  let outcome = S.run cfg (fun i -> if i = 0 then (ignore (S.query 0); 1) else 2) in
+  let outcome = S.run cfg (fun i -> if i = 0 then (ignore (query1 0); 1) else 2) in
   checkb "victim has no output" true (outcome.Sim.outputs.(0) = None);
   checkb "other peer unaffected" true (outcome.Sim.outputs.(1) = Some (0., 2));
   checkb "completed (victim is dead, not blocked)" true (outcome.Sim.status = Sim.Completed)
@@ -609,9 +612,9 @@ let test_sim_after_queries_crash () =
   in
   let outcome =
     S.run cfg (fun _ ->
-        ignore (S.query 0);
-        ignore (S.query 1);
-        ignore (S.query 2);
+        ignore (query1 0);
+        ignore (query1 1);
+        ignore (query1 2);
         0)
   in
   checkb "died at the second query" true (outcome.Sim.outputs.(0) = None);
@@ -621,7 +624,7 @@ let test_sim_calls_outside_run () =
   (* Direct calls find no running peer; they must not fall through to an
      unhandled effect. *)
   Alcotest.check_raises "query" (Invalid_argument "Sim.query: called outside Sim.run") (fun () ->
-      ignore (S.query 0));
+      ignore (query1 0));
   Alcotest.check_raises "send" (Invalid_argument "Sim.send: called outside Sim.run") (fun () ->
       S.send 0 (Smsg.Ping 1));
   Alcotest.check_raises "receive" (Invalid_argument "Sim.receive: called outside Sim.run")
@@ -632,7 +635,7 @@ let test_sim_nested_run () =
      own run: those calls must be charged to the outer peer. *)
   let inner () =
     S.run (Sim.default_config ~k:1 ~query_bit) (fun _ ->
-        List.iter (fun i -> ignore (S.query i)) [ 0; 1; 2 ];
+        List.iter (fun i -> ignore (query1 i)) [ 0; 1; 2 ];
         S.send 0 (Smsg.Ping 0);
         ignore (S.receive ()))
   in
@@ -640,8 +643,8 @@ let test_sim_nested_run () =
     S.run (Sim.default_config ~k:2 ~query_bit) (fun i ->
         if i = 0 then begin
           let o = inner () in
-          ignore (S.query 0);
-          ignore (S.query 1);
+          ignore (query1 0);
+          ignore (query1 1);
           S.send 1 (Smsg.Ping 7);
           Some o
         end
@@ -669,12 +672,12 @@ let test_sim_query_latency_pin () =
   let cfg =
     {
       (Sim.default_config ~k:3 ~query_bit) with
-      query_latency = (fun ~peer ~time:_ -> 0.25 +. (0.1 *. float_of_int peer));
+      query_latency = (fun ~peer -> 0.25 +. (0.1 *. float_of_int peer));
     }
   in
   let outcome =
     S.run cfg (fun _ ->
-        let bits = List.map S.query [ 0; 1; 2 ] in
+        let bits = List.map query1 [ 0; 1; 2 ] in
         S.broadcast (Smsg.Value (List.hd bits));
         ignore (S.receive ());
         ignore (S.receive ());
@@ -700,7 +703,7 @@ let test_trace_stats_matrices () =
           0
         end
         else begin
-          ignore (S.query 0);
+          ignore (query1 0);
           let _ = S.receive () in
           if i = 1 then ignore (S.receive ());
           i
@@ -758,9 +761,9 @@ let test_trace_load_rejects_garbage () =
 
 let test_metrics_summary_selection () =
   let m = Metrics.create 3 in
-  Metrics.on_query m 0;
-  Metrics.on_query m 0;
-  Metrics.on_query m 2;
+  Metrics.on_queries m 0 1;
+  Metrics.on_queries m 0 1;
+  Metrics.on_queries m 2 1;
   Metrics.on_send m 1 ~size_bits:100;
   Metrics.on_send m 1 ~size_bits:50;
   let all = Metrics.summarize m in

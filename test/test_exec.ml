@@ -81,9 +81,9 @@ let test_metrics_exclude_faulty_queries () =
     run_with_process inst (fun i ->
         if i = faulty then
           for j = 0 to Problem.n inst - 1 do
-            ignore (S.query j)
+            ignore (S.query (j, 1) (fun _ f -> f 0))
           done
-        else ignore (S.query 0);
+        else ignore (S.query (0, 1) (fun _ f -> f 0));
         Bitarray.copy inst.Problem.x)
   in
   checkb "correct overall" true r.Problem.ok;

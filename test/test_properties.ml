@@ -421,7 +421,7 @@ let prop_tree_recovers_truth =
       let candidates = List.map (fun l -> Bitarray.init (List.length l) (List.nth l)) strings in
       let truth = List.nth candidates truth_idx in
       let tree = Decision_tree.build candidates in
-      let got, spent = Decision_tree.determine ~query:(Bitarray.get truth) ~offset:0 tree in
+      let got, spent = Decision_tree.determine ~query:(fun (pos, len) -> Bitarray.sub truth ~pos ~len) ~offset:0 tree in
       Bitarray.equal got truth
       && spent <= List.length (List.sort_uniq Bitarray.compare candidates) - 1)
 
@@ -460,6 +460,139 @@ let prop_crash_general_always_correct =
         |> Exec.with_crash (Crash_plan.mid_broadcast inst.Problem.fault ~after_sends)
       in
       (Crash_general.run ~opts inst).Problem.ok)
+
+(* ------------------------------------------------------------------ *)
+(* Sim: a range query is its per-bit loop                              *)
+(* ------------------------------------------------------------------ *)
+
+module Sim = Dr_engine.Sim
+module Trace = Dr_engine.Trace
+
+module Rmsg = struct
+  type t = int
+
+  let size_bits _ = 8
+  let tag = string_of_int
+end
+
+module RS = Sim.Make (Rmsg)
+
+(* Everything a run of [range_run] shows of its queries. *)
+type range_view = {
+  outputs : (float * string) option array;
+  status : Sim.status;
+  events : int;
+  end_time : float;
+  charged : int array;  (** per-peer Q *)
+  calls : (int * int) list;  (** [query_bit] calls as (peer, index), in order *)
+  records : Trace.event list option;
+}
+
+(* Two peers each read bits [pos, pos + len) of [x] and swap one message.
+   Peer 0 may carry an [After_queries] budget; [delay] is peer 0's query
+   latency and half of it peer 1's. With [per_bit] each peer reads the
+   range as [len] one-bit ranges. *)
+let range_run ~per_bit ~x ~pos ~len ~budget ~delay ~traced =
+  let calls = ref [] in
+  let query_bit ~peer i =
+    calls := (peer, i) :: !calls;
+    Bitarray.get x i
+  in
+  let trace = if traced then Some (Trace.create ()) else None in
+  let cfg =
+    {
+      (Sim.default_config ~k:2 ~query_bit) with
+      query_latency = (fun ~peer -> if peer = 0 then delay else delay /. 2.);
+      crash =
+        (fun peer ->
+          match budget with Some j when peer = 0 -> Sim.After_queries j | _ -> Sim.Never);
+      trace;
+    }
+  in
+  let read () =
+    if per_bit then Bitarray.init len (fun r -> RS.query (pos + r, 1) (fun _ f -> f 0))
+    else RS.query (pos, len) Bitarray.init
+  in
+  let out =
+    RS.run cfg (fun i ->
+        let bits = read () in
+        RS.send (1 - i) i;
+        ignore (RS.receive ());
+        Bitarray.to_string bits)
+  in
+  {
+    outputs = out.Sim.outputs;
+    status = out.Sim.status;
+    events = out.Sim.events;
+    end_time = out.Sim.end_time;
+    charged = Array.init 2 (fun i -> (Dr_engine.Metrics.peer out.Sim.metrics i).queries);
+    calls = List.rev !calls;
+    records = Option.map Trace.events trace;
+  }
+
+let range_arb =
+  QCheck.make
+    ~print:(fun (n, pos, len, budget, delay, traced, seed) ->
+      Printf.sprintf "n=%d pos=%d len=%d budget=%s delay=%g traced=%b seed=%d" n pos len
+        (match budget with Some j -> string_of_int j | None -> "none")
+        delay traced seed)
+    QCheck.Gen.(
+      int_range 1 100 >>= fun n ->
+      int_range 0 (n - 1) >>= fun pos ->
+      int_range 0 (n - pos) >>= fun len ->
+      opt (int_range 0 (len + 2)) >>= fun budget ->
+      oneofl [ 0.; 0.25 ] >>= fun delay ->
+      bool >>= fun traced ->
+      int_range 1 10_000 >>= fun seed -> return (n, pos, len, budget, delay, traced, seed))
+
+let prop_sim_range_is_per_bit =
+  QCheck.Test.make ~name:"sim: a range query equals its per-bit loop" ~count:400 range_arb
+    (fun (n, pos, len, budget, delay, traced, seed) ->
+      let x = Bitarray.random (Prng.create (Int64.of_int seed)) n in
+      let range = range_run ~per_bit:false ~x ~pos ~len ~budget ~delay ~traced in
+      let bits = range_run ~per_bit:true ~x ~pos ~len ~budget ~delay ~traced in
+      let q0 = range.charged.(0) in
+      (* A crash planned inside the range: the peer dies charged exactly j
+         ([After_queries 0] dies at the first bit). Otherwise it reads all
+         [len] bits and terminates. *)
+      let crash_ok =
+        match budget with
+        | Some j when len > 0 && j <= len -> range.outputs.(0) = None && q0 = max j 1
+        | Some _ | None -> range.outputs.(0) <> None && q0 = len
+      in
+      (* one [Queried] record per bit read, in index order *)
+      let records_ok =
+        match range.records with
+        | None -> true
+        | Some evs ->
+          List.filter_map
+            (function Trace.Queried { peer = 0; index; _ } -> Some index | _ -> None)
+            evs
+          = List.init q0 (fun r -> pos + r)
+      in
+      range = bits && crash_ok && records_ok)
+
+(* [Crash_general.index_bits] against the recursive bit length it replaced,
+   on index lists that mix 0, small and random indices and values near
+   [max_int] (where [i + 2] wraps). *)
+let rec ref_bit_length v = if v = 0 then 0 else 1 + ref_bit_length (v lsr 1)
+
+let ref_index_bits idx =
+  Array.fold_left (fun acc i -> acc + max 1 (ref_bit_length (i + 2 - 1))) 0 idx
+
+let index_list_arb =
+  let entry =
+    QCheck.Gen.(
+      oneof
+        [ return 0; small_nat; int_range (max_int - 8) max_int; map (fun v -> v land max_int) int ])
+  in
+  QCheck.make
+    ~print:(fun a -> String.concat ";" (Array.to_list (Array.map string_of_int a)))
+    QCheck.Gen.(array_size (int_range 0 24) entry)
+
+let prop_crash_general_index_bits =
+  QCheck.Test.make ~name:"crash-general: index charge equals the recursive reference" ~count:500
+    index_list_arb (fun idx -> Crash_general.index_bits idx = ref_index_bits idx)
 
 let prop_crash_general_q_bound =
   QCheck.Test.make ~name:"crash-general: Q <= n/(gamma k) + n/k + slack" ~count:40
@@ -738,6 +871,8 @@ let suite =
       prop_spec_bound_crash_general;
       prop_spec_bound_committee;
       prop_crash_general_q_bound;
+      prop_crash_general_index_bits;
+      prop_sim_range_is_per_bit;
       prop_committee_always_correct;
       prop_balanced_correct;
       prop_summary_bounds;

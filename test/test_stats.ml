@@ -197,7 +197,7 @@ let test_printers_smoke () =
     (String.length rendered > 0
     && String.sub rendered 0 5 = "naive");
   let m = Dr_engine.Metrics.create 2 in
-  Dr_engine.Metrics.on_query m 0;
+  Dr_engine.Metrics.on_queries m 0 1;
   let summary = Dr_engine.Metrics.summarize m in
   checkb "metrics pp" true
     (String.length (Format.asprintf "%a" Dr_engine.Metrics.pp_summary summary) > 0)
